@@ -10,13 +10,33 @@ fixed RSS budget.
 :class:`BlockPager` replaces that with **fixed-size machine-range
 blocks**: each shard's machine range is chopped into pieces of
 ``block_machines`` machines, and only the touched block's counts are
-(re)built.  For binary shards the rebuild is zero-copy end to end — the
-shard file is memory-mapped, the block's event rows are located with two
-binary searches on the (machine-sorted) ``machine_id`` column (touching
-``O(log n)`` pages, *not* the whole file), and the counts come from one
-``bincount`` over that slice.  The mapping is dropped as soon as the
-block is built, so evicted state really leaves the resident set instead
-of lingering as mapped file pages.
+(re)built.
+
+Two access patterns, two policies:
+
+* **Point lookups** (:meth:`BlockPager.counts` / :meth:`BlockPager.cell`)
+  go through a plain LRU: a resident block is a *hit*; a missing one is
+  a *rebuild*, admitted as most-recently-used, and the least-recently
+  used blocks are *evicted* until the bounds hold again.
+* **Fleet sweeps** (:meth:`BlockPager.sweep`) visit every owned block
+  once, so an LRU smaller than the fleet would evict, on every sweep,
+  exactly the block the sweep needs next.  A sweep is therefore
+  scan-resistant: it yields the resident blocks first (each a *hit*),
+  then builds each missing block (each a *rebuild*) and admits it only
+  while the bounds still have room; otherwise the block serves this
+  sweep and is dropped.  A sweep never evicts, so it leaves the point
+  lookups' working set exactly as it found it.
+
+Rebuilds are cheap after a block's first touch.  The first touch
+verifies the shard (below), memory-maps it, and locates the block's
+event rows with two binary searches on the (machine-sorted)
+``machine_id`` column — touching ``O(log n)`` pages, *not* the whole
+file.  For binary shards it then records the block's byte offset and
+row count, so every later rebuild reads exactly those rows with one
+``np.fromfile`` — no header parse, no map.  The counts come from one
+``bincount`` over the rows, and nothing of the file stays mapped, so
+evicted or swept-through state really leaves the resident set.  JSONL
+shards have no fixed row layout; they keep a one-deep parse cache.
 
 Exactness: a block's counts are the corresponding machine rows of
 :func:`repro.serve.state.counts_from_columns` on the whole shard —
@@ -24,14 +44,14 @@ integer event counts binned with the same ``np.divmod`` arithmetic, so
 restriction to a machine sub-range commutes with counting and every
 answer served through paging equals the unpaged (and batch) answer
 exactly.  ``tests/test_serve_paging.py`` pins this, block size by block
-size, through eviction churn.
+size, through eviction churn and interleaved sweeps.
 
 Verification: the shard file's SHA-256 is checked against the manifest
 **once per shard** (first block touch), not per rebuild — per-rebuild
 hashing would re-read the whole file and defeat the point of paging.
-Corrupted-after-first-touch files still fail loudly: a truncated map
-raises on access, and the fingerprint pins the content the serve process
-started from.
+Corrupted-after-first-touch files still fail loudly: a rebuild that
+reads fewer rows than it recorded raises :class:`TraceError`, and the
+fingerprint pins the content the serve process started from.
 
 ``block_machines=None`` keeps whole-shard blocks (PR 8 behavior): every
 block spans exactly one shard, and ``max_blocks`` bounds resident
@@ -45,12 +65,13 @@ import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..errors import ServeError, TraceError
-from ..traces.records import EventColumns
+from ..traces.records import EVENT_DTYPE, EventColumns
 from ..traces.shards import ShardedTraceDataset, _sha256_file
 from ..units import DAY, HOUR
 
@@ -80,11 +101,14 @@ class PagerStats:
     resident_blocks: int
     #: Bytes of resident count blocks.
     resident_bytes: int
-    #: Touches answered from a resident block.
+    #: Touches answered from a resident block (point lookups, and each
+    #: resident block a sweep visits).
     hits: int
-    #: Block (re)builds — the page-miss count.
+    #: Block (re)builds — the page-miss count, including the blocks a
+    #: sweep builds and drops without admitting.
     rebuilds: int
-    #: Blocks dropped to satisfy the bounds.
+    #: Resident blocks dropped to satisfy the bounds (point lookups only;
+    #: sweeps never evict).
     evictions: int
     #: Total blocks in the table.
     n_blocks: int
@@ -103,9 +127,9 @@ def counts_from_event_rows(
     ``machine_base`` — the block-restricted form of the whole-shard
     count matrix.
     """
-    counts = np.zeros((n_machines, n_days, 24), dtype=np.int64)
+    shape = (n_machines, n_days, 24)
     if rows.size == 0 or n_days == 0:
-        return counts
+        return np.zeros(shape, dtype=np.int64)
     day, rem = np.divmod(rows["start"], DAY)
     hour = np.floor_divide(rem, HOUR).astype(np.int64)
     day = day.astype(np.int64)
@@ -116,10 +140,8 @@ def counts_from_event_rows(
         + day[keep] * 24
         + hour[keep]
     )
-    counts += np.bincount(flat, minlength=n_machines * n_days * 24).reshape(
-        counts.shape
-    )
-    return counts
+    counts = np.bincount(flat, minlength=n_machines * n_days * 24)
+    return counts.astype(np.int64, copy=False).reshape(shape)
 
 
 class BlockPager:
@@ -146,7 +168,8 @@ class BlockPager:
         shard's first block touch.
 
     Not internally locked: :class:`~repro.serve.state.ServeState` calls
-    under its own lock, which also serializes the counters.
+    under its own lock, which also serializes the counters (and a sweep
+    is consumed whole under that lock).
     """
 
     def __init__(
@@ -202,6 +225,9 @@ class BlockPager:
         self._rebuilds = 0
         self._evictions = 0
         self._verified: set[int] = set()
+        # Binary-shard blocks already touched once: block index ->
+        # (shard path, byte offset of the block's first event row, rows).
+        self._rows: dict[int, tuple[Path, int, int]] = {}
         # One-deep cache of parsed columns for JSONL shards, so scanning
         # consecutive blocks of the same (non-zero-copy) shard parses the
         # file once, not once per block.
@@ -228,10 +254,34 @@ class BlockPager:
             return block
         block = self._build(self.blocks[block_id])
         self._rebuilds += 1
-        self._lru[block_id] = block
-        self._resident_bytes += block.nbytes
+        self._admit(block_id, block)
         self._evict()
         return block
+
+    def sweep(self) -> Iterator[tuple[BlockInfo, np.ndarray]]:
+        """Every owned block once, with its counts — scan-resistant.
+
+        Resident blocks come first (hits), then each missing block is
+        built (a rebuild) and admitted only if the bounds still have
+        room; otherwise it is yielded and dropped.  A sweep never evicts
+        and never reorders the LRU.  Blocks arrive out of machine order:
+        callers write each block's own rows.
+        """
+        resident = list(self._lru.items())
+        for block_id, block in resident:
+            self._hits += 1
+            yield self.blocks[block_id], block
+        seen = {block_id for block_id, _ in resident}
+        for info in self.blocks:
+            if info.index in seen:
+                continue
+            block = self._build(info)
+            self._rebuilds += 1
+            if self._within_bounds(
+                len(self._lru) + 1, self._resident_bytes + block.nbytes
+            ):
+                self._admit(info.index, block)
+            yield info, block
 
     def cell(self, machine_id: int, day: int, hour: int) -> int:
         """One machine-day-hour count, paging the owning block in."""
@@ -252,16 +302,19 @@ class BlockPager:
 
     # -- internals ------------------------------------------------------------
 
-    def _evict(self) -> None:
-        def over() -> bool:
-            if self._max_blocks is not None and len(self._lru) > self._max_blocks:
-                return True
-            return (
-                self._max_bytes is not None
-                and self._resident_bytes > self._max_bytes
-            )
+    def _admit(self, block_id: int, block: np.ndarray) -> None:
+        self._lru[block_id] = block
+        self._resident_bytes += block.nbytes
 
-        while len(self._lru) > 1 and over():
+    def _within_bounds(self, n_blocks: int, nbytes: int) -> bool:
+        return (self._max_blocks is None or n_blocks <= self._max_blocks) and (
+            self._max_bytes is None or nbytes <= self._max_bytes
+        )
+
+    def _evict(self) -> None:
+        while len(self._lru) > 1 and not self._within_bounds(
+            len(self._lru), self._resident_bytes
+        ):
             _, evicted = self._lru.popitem(last=False)
             self._resident_bytes -= evicted.nbytes
             self._evictions += 1
@@ -283,9 +336,10 @@ class BlockPager:
             )
         self._verified.add(shard)
 
-    def _shard_columns(self, shard: int) -> EventColumns:
-        """The shard's event columns: a fresh zero-copy map for binary
-        shards, a one-deep parse cache for JSONL shards."""
+    def _shard_columns(self, shard: int) -> tuple[EventColumns, bool]:
+        """The shard's event columns and whether the shard is binary: a
+        fresh zero-copy map for binary shards, a one-deep parse cache for
+        JSONL shards."""
         from ..traces.binio import is_binary_trace, open_columns
 
         info = self._store.manifest.shards[shard]
@@ -293,28 +347,28 @@ class BlockPager:
         self._check_shard(shard)
         if is_binary_trace(path):
             _, columns, _ = open_columns(path, mmap=True)
-            return columns
+            return columns, True
         with self._jsonl_lock:
             cached = self._jsonl_cache
             if cached is not None and cached[0] == shard:
-                return cached[1]
+                return cached[1], False
         from ..traces.io import load_dataset
 
         columns = EventColumns.from_dataset(load_dataset(path))
         with self._jsonl_lock:
             self._jsonl_cache = (shard, columns)
-        return columns
+        return columns, False
 
-    def _build(self, block: BlockInfo) -> np.ndarray:
-        """(Re)build one block's counts from its shard file.
+    def _first_touch_rows(self, block: BlockInfo) -> np.ndarray:
+        """Locate a block's event rows in its shard file.
 
-        The mmap (binary shards) lives only for the duration of this
-        call: the two ``searchsorted`` probes touch ``O(log n)`` pages,
-        the ``bincount`` touches the block's own rows, and the returned
-        counts own their memory — nothing keeps file pages resident.
+        Binary shards: the mmap lives only for the duration of this call
+        (the two ``searchsorted`` probes touch ``O(log n)`` pages), and
+        the block's byte range is recorded so later rebuilds skip the
+        header, the map and the probes.
         """
         shard_info = self._store.manifest.shards[block.shard]
-        columns = self._shard_columns(block.shard)
+        columns, binary = self._shard_columns(block.shard)
         if columns.n_machines != shard_info.n_machines:
             raise TraceError(
                 f"shard {shard_info.path} holds {columns.n_machines} "
@@ -326,9 +380,48 @@ class BlockPager:
         mids = columns.events["machine_id"]
         row_lo = int(np.searchsorted(mids, local_lo, side="left"))
         row_hi = int(np.searchsorted(mids, local_hi, side="left"))
+        if binary:
+            # An empty table is a plain array, not a map; no rows to read.
+            offset = (
+                columns.events.offset + row_lo * EVENT_DTYPE.itemsize
+                if row_hi > row_lo
+                else 0
+            )
+            self._rows[block.index] = (
+                self._store.root / shard_info.path,
+                offset,
+                row_hi - row_lo,
+            )
+        return columns.events[row_lo:row_hi]
+
+    def _build(self, block: BlockInfo) -> np.ndarray:
+        """(Re)build one block's counts from its shard file.
+
+        The returned counts own their memory — nothing keeps file pages
+        resident.
+        """
+        cached = self._rows.get(block.index)
+        if cached is None:
+            rows = self._first_touch_rows(block)
+        else:
+            rows = _read_rows(*cached)
+        local_lo = block.lo - self._store.manifest.shards[block.shard].machine_lo
         return counts_from_event_rows(
-            columns.events[row_lo:row_hi],
-            block.n_machines,
-            self.n_days,
-            machine_base=local_lo,
+            rows, block.n_machines, self.n_days, machine_base=local_lo
         )
+
+
+def _read_rows(path: Path, offset: int, n_rows: int) -> np.ndarray:
+    """Exactly ``n_rows`` event rows at byte ``offset`` of a binary shard."""
+    if n_rows == 0:
+        return np.empty(0, dtype=EVENT_DTYPE)
+    try:
+        rows = np.fromfile(path, dtype=EVENT_DTYPE, count=n_rows, offset=offset)
+    except OSError as exc:
+        raise TraceError(f"cannot read shard {path}: {exc}") from exc
+    if rows.size != n_rows:
+        raise TraceError(
+            f"{path}: truncated binary shard (read {rows.size} of the "
+            f"{n_rows} event rows recorded at first touch)"
+        )
+    return rows

@@ -270,8 +270,7 @@ class ServeApp:
             start_hour=hour,
             duration_hours=duration,
         )
-        survival = self.state.predict_survival(query)
-        expected = self.state.predict_count(query)
+        survival, expected = self.state.forecast(query)
         return 200, {
             "machine": machine,
             "day": day,

@@ -14,18 +14,22 @@ million-machine fleet fits under a fixed RSS ceiling.
 * **base tier** — count blocks built from the bootstrap trace.  A state
   bootstrapped from in-memory columns holds one resident block; a
   store-backed state pages **fixed-size machine-range blocks** in and
-  out through a :class:`~repro.serve.paging.BlockPager` (rebuilt
-  zero-copy from the mmap'd binary shards, LRU-bounded by blocks and/or
+  out through a :class:`~repro.serve.paging.BlockPager` (rebuilt from
+  the binary shards' recorded row ranges, LRU-bounded by blocks and/or
   bytes), so the fleet's total state never has to be resident at once —
   the block grain is what lets a 10⁵–10⁶-machine fleet serve under a
-  fixed RSS ceiling.
+  fixed RSS ceiling.  Point queries page through the LRU; fleet queries
+  take one scan-resistant :meth:`~repro.serve.paging.BlockPager.sweep`
+  that never evicts, so they cannot flush the point queries' working
+  set.
 * **overlay tier** — a sparse ``(machine, day) -> 24-vector`` of counts
   from *streamed* events (``POST /v1/ingest`` or stdin JSONL).  The
   overlay is always resident (it only holds what was streamed) and is
   never evicted, so eviction can never lose live data: a machine's
   effective counts are always ``base + overlay``.  The overlay (plus
   the ingest tails) is what :meth:`save_overlay_snapshot` persists so
-  restarts don't lose streamed events.
+  restarts don't lose streamed events.  Fleet queries read it as
+  per-day sorted arrays, rebuilt only for days an ingest touched.
 
 A state may own only a **machine range** of the fleet: the scale-out
 router (:mod:`repro.serve.router`) gives each worker process a
@@ -44,8 +48,9 @@ For a state built from a trace with no streamed events, every answer is
 operation for operation — per-cell ``total += overlap * count``
 accumulation in cell order, ``np.mean`` over the same-shaped history
 vector, the same Laplace-smoothed survival quotient.  The fleet-wide
-vectorized path (:meth:`ServeState.survival_fleet`) keeps the identical
-per-cell accumulation order across machines, and block paging commutes
+vectorized path (:meth:`ServeState.survival_fleet`) gathers each
+block's cells as integers (base plus overlay) and keeps the identical
+per-cell float accumulation order across machines, and block paging commutes
 with counting (integer restriction to a machine sub-range), so capacity
 and ranking answers agree with the scalar path bit for bit through any
 block size, eviction churn, routing split, or snapshot/restore cycle.
@@ -86,7 +91,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -309,6 +314,10 @@ class ServeState:
         # ingest ordering contract.
         self._overlay: dict[tuple[int, int], np.ndarray] = {}
         self._overlay_by_day: dict[int, dict[int, np.ndarray]] = {}
+        # The by-day index as (sorted machine ids, int64[k, 24]) arrays,
+        # built on demand for fleet queries; ingest drops the days it
+        # touches.
+        self._overlay_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._last_event: dict[int, _ParsedEvent] = {}
         self._overlay_horizon = 0
         self._n_streamed = 0
@@ -400,25 +409,6 @@ class ServeState:
         return (day + self.start_weekday) % 7 >= 5
 
     # -- base tier ------------------------------------------------------------
-
-    def _base_segments(
-        self,
-    ) -> Iterator[tuple[int, int, Optional[np.ndarray]]]:
-        """Owned machine segments ``(lo, hi, counts)`` in machine order.
-
-        ``counts`` is the segment's base-tier block (``None`` when the
-        state has no base tier — overlay-only).  Store-backed states
-        yield one segment per pageable block, paging each in turn so a
-        fleet sweep respects the resident bounds.  Callers hold
-        ``self._lock``.
-        """
-        if self._base is not None:
-            yield self.machine_lo, self.machine_hi, self._base
-        elif self._pager is not None:
-            for block in self._pager.blocks:
-                yield block.lo, block.hi, self._pager.counts(block.index)
-        else:
-            yield self.machine_lo, self.machine_hi, None
 
     def _base_cell(self, machine_id: int, day: int, hour: int) -> int:
         if self._base is not None:
@@ -575,6 +565,7 @@ class ServeState:
                     ev.machine_id
                 ] = vec
             vec[hour] += 1
+            self._overlay_arrays.pop(day, None)
             if day + 1 > self._overlay_horizon:
                 self._overlay_horizon = day + 1
         self._last_event.update(batch.tails)
@@ -761,6 +752,7 @@ class ServeState:
         with self._lock:
             self._overlay = overlay
             self._overlay_by_day = by_day
+            self._overlay_arrays = {}
             self._last_event = tails
             self._overlay_horizon = horizon
             self._n_streamed = n_streamed
@@ -872,6 +864,12 @@ class ServeState:
             return float(trimmed.mean())
         return float(counts.mean())
 
+    def _survival(self, counts: np.ndarray) -> float:
+        """``HistoryWindowPredictor.predict_survival``'s quotient."""
+        clean = float(np.count_nonzero(counts < 0.5))
+        n = counts.size
+        return (clean + self.laplace) / (n + 2 * self.laplace)
+
     def predict_count(self, query: PredictionQuery) -> float:
         """Expected unavailability occurrences in the window."""
         return self._reduce(self.history_counts(query))
@@ -879,12 +877,30 @@ class ServeState:
     def predict_survival(self, query: PredictionQuery) -> float:
         """P(no unavailability starts in the window) — the serving
         layer's headline answer, batch-identical."""
+        return self._survival(self.history_counts(query))
+
+    def forecast(self, query: PredictionQuery) -> tuple[float, float]:
+        """``(predict_survival, predict_count)`` from one history lookup."""
         counts = self.history_counts(query)
-        clean = float(np.count_nonzero(counts < 0.5))
-        n = counts.size
-        return (clean + self.laplace) / (n + 2 * self.laplace)
+        return self._survival(counts), self._reduce(counts)
 
     # -- fleet-vectorized queries ---------------------------------------------
+
+    def _overlay_day(self, day: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """One day's overlay as ``(sorted machine ids, int64[k, 24])``.
+
+        Cached until an ingest touches the day.  Callers hold
+        ``self._lock``.
+        """
+        cached = self._overlay_arrays.get(day)
+        if cached is None:
+            touched = self._overlay_by_day.get(day)
+            if not touched:
+                return None
+            mids = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
+            cached = (mids, np.stack([touched[m] for m in mids.tolist()]))
+            self._overlay_arrays[day] = cached
+        return cached
 
     def _history_matrix(
         self, day: int, start_hour: float, duration_hours: float
@@ -892,19 +908,16 @@ class ServeState:
         """``(owned_machines, n_history_days)`` window counts.
 
         Row ``m - machine_lo`` equals :meth:`history_counts` for machine
-        ``m`` exactly: the per-cell accumulation happens in the same
-        cell order, and each cell's base and overlay counts are summed
-        as integers before the single float multiply, so the float
-        result is bit-identical to the scalar path — per machine, for
-        any block size, through any eviction or routing split.
+        ``m`` exactly.  Per block, every needed ``(day, hour)`` cell is
+        gathered at once into an int64 ``(machines, history days,
+        cells)`` array — base counts (zero outside the base horizon),
+        plus the overlay as integers — and the floats then accumulate
+        ``0.0 + overlap * count`` cell by cell in the scalar path's cell
+        order.  Out-of-window cells add ``+0.0``, which changes no sum,
+        so the result is bit-identical to the scalar path — per machine,
+        for any block size, through any eviction or routing split.
         """
         self._check_ready()
-        days = self._history_day_list(day)
-        if not days:
-            raise NoHistoryError(
-                f"no same-type history before day {day}; "
-                "ingest a longer trace first"
-            )
         query = PredictionQuery(
             machine_id=0,
             day=day,
@@ -912,27 +925,52 @@ class ServeState:
             duration_hours=duration_hours,
         )
         cells = query.hour_cells()
-        horizon = self.horizon_day
-        out = np.zeros((self.owned_machines, len(days)), dtype=float)
         with self._lock:
-            for lo, hi, counts in self._base_segments():
+            days = self._history_day_list(day)
+            if not days:
+                raise NoHistoryError(
+                    f"no same-type history before day {day}; "
+                    "ingest a longer trace first"
+                )
+            # (history day i, cell j) -> the concrete cell day and hour.
+            cell_day = np.add.outer(
+                np.array(days, dtype=np.int64) - day,
+                np.array([c for c, _, _ in cells], dtype=np.int64),
+            )
+            cell_hour = np.broadcast_to(
+                np.array([h for _, h, _ in cells], dtype=np.int64),
+                cell_day.shape,
+            )
+            in_window = (cell_day >= 0) & (cell_day < self.horizon_day)
+            in_base = in_window & (cell_day < self.base_n_days)
+            base_day = np.where(in_base, cell_day, 0)
+            overlay = []
+            for d in np.unique(cell_day[in_window]).tolist():
+                arrays = self._overlay_day(d)
+                if arrays is not None:
+                    i, j = np.nonzero(cell_day == d)
+                    overlay.append((arrays, i, j, cell_hour[i, j]))
+            if self._pager is not None:
+                segments = ((b.lo, b.hi, c) for b, c in self._pager.sweep())
+            else:
+                segments = [(self.machine_lo, self.machine_hi, self._base)]
+            out = np.zeros((self.owned_machines, len(days)), dtype=float)
+            for lo, hi, counts in segments:
+                if counts is not None and in_base.any():
+                    gathered = counts[:, base_day, cell_hour]
+                    gathered[:, ~in_base] = 0
+                else:
+                    gathered = np.zeros(
+                        (hi - lo,) + cell_day.shape, dtype=np.int64
+                    )
+                for (mids, vecs), i, j, hours in overlay:
+                    a, b = np.searchsorted(mids, (lo, hi))
+                    if a < b:
+                        rows = (mids[a:b] - lo)[:, None]
+                        gathered[rows, i, j] += vecs[a:b][:, hours]
                 sub = out[lo - self.machine_lo : hi - self.machine_lo]
-                for i, d in enumerate(days):
-                    shift = d - day
-                    for cell_day, hour, overlap in cells:
-                        cd = cell_day + shift
-                        if not 0 <= cd < horizon:
-                            continue
-                        if counts is not None and cd < self.base_n_days:
-                            cell = counts[:, cd, hour].copy()
-                        else:
-                            cell = np.zeros(hi - lo, dtype=np.int64)
-                        touched = self._overlay_by_day.get(cd)
-                        if touched:
-                            for mid, vec in touched.items():
-                                if lo <= mid < hi:
-                                    cell[mid - lo] += vec[hour]
-                        sub[:, i] += overlap * cell
+                for k, (_, _, overlap) in enumerate(cells):
+                    sub += overlap * gathered[:, :, k]
         return out
 
     def survival_fleet(

@@ -116,6 +116,36 @@ class TestStateMatchesBatch:
             )
             assert survival[machine] == golden_state.predict_survival(query)
 
+    @pytest.mark.parametrize("statistic", ["mean", "median"])
+    def test_availability_reads_history_once(
+        self, golden_dataset, golden_columns, monkeypatch, statistic
+    ):
+        predictor = HistoryWindowPredictor(statistic=statistic).fit(
+            golden_dataset
+        )
+        state = ServeState.from_columns(golden_columns, statistic=statistic)
+        calls = []
+        real = ServeState.history_counts
+
+        def counting(self, query):
+            calls.append(query)
+            return real(self, query)
+
+        monkeypatch.setattr(ServeState, "history_counts", counting)
+        app = ServeApp(state)
+        for query in _queries(state.n_machines):
+            del calls[:]
+            status, payload = app.handle(
+                "GET",
+                f"/v1/availability?machine={query.machine_id}"
+                f"&day={query.day}&hour={query.start_hour}"
+                f"&duration={query.duration_hours}",
+            )
+            assert status == 200
+            assert len(calls) == 1
+            assert payload["survival"] == predictor.predict_survival(query)
+            assert payload["expected_events"] == predictor.predict_count(query)
+
     def test_window_count_matches_matrix(self, golden_dataset, golden_state):
         matrix = CountMatrix(golden_dataset)
         query = PredictionQuery(

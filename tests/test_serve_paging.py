@@ -5,7 +5,10 @@ blocks changes *when* counts are resident, never *what* they are.  Every
 block's counts equal the corresponding rows of the whole-shard count
 matrix; every served answer — scalar, fleet-vectorized, through eviction
 churn — stays ``==`` the unpaged state and the batch predictor for every
-block size.  And the point of the grain: a 10⁵-machine sharded fleet
+block size.  Fleet sweeps are scan-resistant: they never evict and
+leave the point queries' resident set as they found it, and a block's
+rebuilds after its first touch read its recorded rows without reopening
+the shard.  And the point of the grain: a 10⁵-machine sharded fleet
 serves under a 512 MB RSS ceiling (subprocess-probed, same harness style
 as ``tests/scenarios/test_capacity.py``).
 """
@@ -24,10 +27,10 @@ import pytest
 
 from repro.config import FgcsConfig, TestbedConfig
 from repro.core.events import UnavailabilityEvent
-from repro.errors import ServeError
+from repro.errors import ServeError, TraceError
 from repro.prediction.base import PredictionQuery
 from repro.prediction.history import HistoryWindowPredictor
-from repro.serve import BlockPager, ServeState, counts_from_columns
+from repro.serve import AsyncIngester, BlockPager, ServeState, counts_from_columns
 from repro.traces.dataset import TraceDataset
 from repro.traces.records import CODE_TO_STATE, EventColumns
 from repro.traces.shards import generate_shards, open_shards, write_shards
@@ -50,6 +53,13 @@ def fleet_store(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fleet_predictor(fleet_store):
     return HistoryWindowPredictor().fit(fleet_store.load_full())
+
+
+def _point_scan(state, n_machines):
+    """One point lookup per machine: under a small budget the LRU
+    admits and evicts as the scan crosses blocks."""
+    for machine in range(n_machines):
+        state.window_count(machine, 7, 0.0, 6.0)
 
 
 class TestBlockCounts:
@@ -111,6 +121,102 @@ class TestBlockCounts:
                         )
         assert churning.stats().evictions > 0
 
+    @pytest.mark.parametrize("bound", ["blocks", "bytes"])
+    def test_sweep_never_evicts_under_half_budget(self, fleet_store, bound):
+        one_block = fleet_store.n_days * 24 * 8
+        limits = (
+            {"max_blocks": 6}
+            if bound == "blocks"
+            else {"max_bytes": 6 * one_block}
+        )
+        pager = BlockPager(fleet_store, block_machines=1, **limits)
+        unbounded = BlockPager(fleet_store, block_machines=1)
+        resident = [11, 0, 7, 3, 9, 5]
+        for block_id in resident:
+            pager.counts(block_id)
+        before = pager.stats()
+        assert before.resident_blocks == 6 and before.evictions == 0
+
+        seen = []
+        for block, counts in pager.sweep():
+            assert np.array_equal(counts, unbounded.counts(block.index))
+            seen.append(block.index)
+        after = pager.stats()
+        assert sorted(seen) == list(range(before.n_blocks))
+        assert sorted(seen[:6]) == sorted(resident)  # resident blocks first
+        assert after.resident_blocks == 6
+        assert after.evictions == 0
+        assert after.rebuilds - before.rebuilds == before.n_blocks - 6
+        assert after.hits - before.hits == 6
+        # The same six blocks are still resident: touching them is all hits.
+        for block_id in resident:
+            pager.counts(block_id)
+        assert pager.stats().rebuilds == after.rebuilds
+
+    def test_sweep_admits_only_while_room(self, fleet_store):
+        pager = BlockPager(fleet_store, block_machines=1, max_blocks=6)
+        assert len(list(pager.sweep())) == 12
+        stats = pager.stats()
+        assert (stats.resident_blocks, stats.rebuilds, stats.evictions) == (
+            6,
+            12,
+            0,
+        )
+
+    def test_rebuild_after_first_touch_skips_open_columns(
+        self, fleet_store, monkeypatch
+    ):
+        import repro.traces.binio as binio
+
+        unbounded = BlockPager(fleet_store, block_machines=2)
+        expected = [unbounded.counts(b.index) for b in unbounded.blocks]
+        opens = []
+        real_open = binio.open_columns
+
+        def counting_open(path, **kwargs):
+            opens.append(path)
+            return real_open(path, **kwargs)
+
+        monkeypatch.setattr(binio, "open_columns", counting_open)
+        pager = BlockPager(fleet_store, block_machines=2, max_blocks=1)
+        for block in pager.blocks:  # first touch of every block
+            pager.counts(block.index)
+        assert len(opens) == len(pager.blocks)
+        del opens[:]
+        for block in pager.blocks:  # every one a rebuild now
+            assert np.array_equal(pager.counts(block.index), expected[block.index])
+        for block, counts in pager.sweep():
+            assert np.array_equal(counts, expected[block.index])
+        assert pager.stats().rebuilds == 3 * len(pager.blocks) - 1
+        assert opens == []
+
+    def test_truncated_after_first_touch_raises_on_rebuild(
+        self, fleet_store, tmp_path
+    ):
+        import shutil
+
+        from repro.traces.binio import open_columns
+
+        root = tmp_path / "truncated"
+        shutil.copytree(fleet_store.root, root)
+        store = open_shards(root)
+        pager = BlockPager(store, block_machines=1, max_blocks=1)
+        victim = next(b for b in reversed(pager.blocks) if b.shard == 0)
+        pager.counts(victim.index)  # first touch: verified, rows recorded
+        pager.counts(0 if victim.index else 1)  # evicts the victim
+        path = root / store.manifest.shards[0].path
+        _, columns, _ = open_columns(path)
+        local = victim.lo - store.manifest.shards[0].machine_lo
+        assert columns.events["machine_id"][-1] == local  # victim owns the tail
+        events_end = columns.events.offset + columns.events.nbytes
+        del columns
+        with open(path, "r+b") as fh:  # cut the last event row short
+            fh.truncate(events_end - 1)
+        with pytest.raises(TraceError, match="truncated"):
+            pager.counts(victim.index)
+        with pytest.raises(TraceError, match="truncated"):
+            list(pager.sweep())
+
     def test_corrupted_shard_detected_on_first_touch(
         self, fleet_store, tmp_path
     ):
@@ -163,17 +269,90 @@ class TestPagedStateMatchesBatch:
         paged = ServeState.from_store(
             fleet_store, block_machines=block_machines, hot_shards=1
         )
+        # Sweeps never evict, so point scans drive the LRU churn around
+        # every fleet call.
+        _point_scan(paged, fleet_store.n_machines)
         assert np.array_equal(
             paged.survival_fleet(14, 9.5, 6.0),
             reference.survival_fleet(14, 9.5, 6.0),
         )
+        _point_scan(paged, fleet_store.n_machines)
         assert paged.capacity(14, 0.0, 6.0) == reference.capacity(
             14, 0.0, 6.0
         )
+        _point_scan(paged, fleet_store.n_machines)
         assert paged.rank(14, 0.0, 6.0, k=12) == reference.rank(
             14, 0.0, 6.0, k=12
         )
         assert paged.tier_stats().evictions > 0
+
+    @pytest.mark.parametrize("block_machines", [1, 3, None])
+    def test_interleaved_mix_identical_to_unbounded(
+        self, fleet_store, block_machines
+    ):
+        """Point, rank, capacity, ingest and flush, interleaved under a
+        one-block budget, answer exactly as an unbounded state."""
+        reference = ServeState.from_store(fleet_store)
+        paged = ServeState.from_store(
+            fleet_store, block_machines=block_machines, hot_shards=1
+        )
+        ingesters = [AsyncIngester(reference), AsyncIngester(paged)]
+        n = fleet_store.n_machines
+        horizon = paged.horizon_day
+        try:
+            for step in range(4):
+                day = horizon + step // 2
+                batch = [
+                    {
+                        "machine_id": m,
+                        "start": day * DAY + 3600.0 * (3 * step + m % 3),
+                        "end": day * DAY + 3600.0 * (3 * step + m % 3) + 60,
+                        "state": 3,
+                    }
+                    for m in range(step % 2, n, 2)
+                ]
+                for ingester in ingesters:
+                    ingester.submit(batch)
+                    assert ingester.flush(timeout=30)
+                query_day = day + 1
+                for machine in (0, n // 2, n - 1, step):
+                    query = PredictionQuery(
+                        machine_id=machine,
+                        day=query_day,
+                        start_hour=0.0,
+                        duration_hours=6.0,
+                    )
+                    assert paged.forecast(query) == reference.forecast(query)
+                for hour, duration in ((0.0, 6.0), (9.5, 20.0)):
+                    # The fleet sweep against the scalar path, machine by
+                    # machine.
+                    survival = paged.survival_fleet(query_day, hour, duration)
+                    assert [
+                        reference.predict_survival(
+                            PredictionQuery(
+                                machine_id=m,
+                                day=query_day,
+                                start_hour=hour,
+                                duration_hours=duration,
+                            )
+                        )
+                        for m in range(n)
+                    ] == survival.tolist()
+                    assert paged.rank(
+                        query_day, hour, duration, k=n
+                    ) == reference.rank(query_day, hour, duration, k=n)
+                    got = paged.capacity(query_day, hour, duration)
+                    want = reference.capacity(query_day, hour, duration)
+                    assert got == want
+                    assert got["survival_sum"] == float(
+                        reference.survival_fleet(
+                            query_day, hour, duration
+                        ).sum()
+                    )
+        finally:
+            for ingester in ingesters:
+                ingester.close(timeout=30)
+        assert paged.tier_stats().streamed_events == 2 * n
 
     def test_overlay_rides_on_paged_blocks(self, fleet_store):
         paged = ServeState.from_store(
@@ -257,6 +436,10 @@ state = ServeState.from_store(
     block_machines={block},
     hot_bytes={hot_bytes},
 )
+# Sweeps never evict: drive the LRU over budget with point lookups,
+# one machine per block.
+for machine in range(0, store.n_machines, {block}):
+    state.window_count(machine, 7, 0.0, 6.0)
 answers = {{}}
 for machine in probes["machines"]:
     query = PredictionQuery(
@@ -271,6 +454,8 @@ print(json.dumps({{
     "available": capacity["available"],
     "resident_bytes": tiers.resident_bytes,
     "evictions": tiers.evictions,
+    "rebuilds": tiers.rebuilds,
+    "resident_blocks": tiers.hot_entries,
     "n_blocks": tiers.n_blocks,
     "max_rss_bytes": peak_rss_bytes(),
 }}))
@@ -358,5 +543,6 @@ class TestScaleUnderRssCeiling:
         assert report["max_rss_bytes"] < RSS_CEILING_BYTES, report
         assert report["resident_bytes"] <= SCALE_HOT_BYTES, report
         assert report["evictions"] > 0, report
+        assert report["rebuilds"] > report["resident_blocks"], report
         assert report["available"] == expected_available
         assert report["answers"] == expected
