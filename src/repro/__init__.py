@@ -18,73 +18,60 @@ Quick tour
 See README.md for the full tour and DESIGN.md for the system inventory.
 """
 
-from ._version import __version__
-from .analysis import (
-    cause_breakdown,
-    check_paper_landmarks,
-    daily_pattern,
-    interval_distribution,
-)
-from .config import (
-    DEFAULT_CONFIG,
-    FgcsConfig,
-    LabWorkloadConfig,
-    MemoryConfig,
-    MonitorConfig,
-    SchedulerConfig,
-    TestbedConfig,
-    ThresholdConfig,
-)
-from .contention import calibrate_thresholds, measure_contention
-from .core import (
-    AvailState,
-    AvailabilityInterval,
-    BatchDetector,
-    MonitorSample,
-    MultiStateModel,
-    SampleBatch,
-    UnavailabilityDetector,
-    UnavailabilityEvent,
-    availability_intervals,
-    detect_events,
-)
-from .fgcs import run_testbed
-from .prediction import HistoryWindowPredictor, evaluate_predictors
-from .scheduling import run_scheduling_experiment
-from .traces import TraceDataset, generate_dataset, load_dataset, save_dataset
+from importlib import import_module
 
-__all__ = [
-    "AvailState",
-    "AvailabilityInterval",
-    "BatchDetector",
-    "DEFAULT_CONFIG",
-    "FgcsConfig",
-    "HistoryWindowPredictor",
-    "LabWorkloadConfig",
-    "MemoryConfig",
-    "MonitorConfig",
-    "MonitorSample",
-    "MultiStateModel",
-    "SampleBatch",
-    "SchedulerConfig",
-    "TestbedConfig",
-    "ThresholdConfig",
-    "TraceDataset",
-    "UnavailabilityDetector",
-    "UnavailabilityEvent",
-    "__version__",
-    "availability_intervals",
-    "calibrate_thresholds",
-    "cause_breakdown",
-    "check_paper_landmarks",
-    "daily_pattern",
-    "detect_events",
-    "evaluate_predictors",
-    "generate_dataset",
-    "interval_distribution",
-    "load_dataset",
-    "measure_contention",
-    "run_scheduling_experiment",
-    "run_testbed",
-    "save_dataset",
-]
+from ._version import __version__
+
+# Public names resolve on first access (PEP 562), so importing one
+# subpackage (``repro.cli``, ``repro.serve``) does not import them all.
+_EXPORTS = {
+    ".analysis": (
+        "cause_breakdown",
+        "check_paper_landmarks",
+        "daily_pattern",
+        "interval_distribution",
+    ),
+    ".config": (
+        "DEFAULT_CONFIG",
+        "FgcsConfig",
+        "LabWorkloadConfig",
+        "MemoryConfig",
+        "MonitorConfig",
+        "SchedulerConfig",
+        "TestbedConfig",
+        "ThresholdConfig",
+    ),
+    ".contention": ("calibrate_thresholds", "measure_contention"),
+    ".core": (
+        "AvailState",
+        "AvailabilityInterval",
+        "BatchDetector",
+        "MonitorSample",
+        "MultiStateModel",
+        "SampleBatch",
+        "UnavailabilityDetector",
+        "UnavailabilityEvent",
+        "availability_intervals",
+        "detect_events",
+    ),
+    ".fgcs": ("run_testbed",),
+    ".prediction": ("HistoryWindowPredictor", "evaluate_predictors"),
+    ".scheduling": ("run_scheduling_experiment",),
+    ".traces": ("TraceDataset", "generate_dataset", "load_dataset", "save_dataset"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["__version__", *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

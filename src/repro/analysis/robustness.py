@@ -16,6 +16,7 @@ from ..errors import ReproError
 from ..faults import FaultContext
 from ..parallel.backend import get_backend
 from ..traces.generate import generate_dataset
+from ..workloads.loadmodel import preload_filter
 from .compare import LandmarkCheck, check_paper_landmarks
 
 __all__ = ["RobustnessReport", "seed_sweep"]
@@ -93,6 +94,7 @@ def seed_sweep(
         raise ReproError("need at least one seed")
     base = base_config or FgcsConfig()
     results: dict[str, tuple[int, int, float]] = {}
+    preload_filter()
     per_seed = get_backend(jobs).map(
         _seed_landmarks, [(base, seed) for seed in seeds], faults=faults
     )

@@ -53,6 +53,12 @@ printed, never a traceback) / unrecoverable fault, 3 partial results
 
 from __future__ import annotations
 
+import time
+
+#: Where ``process.import`` starts when the interpreter's own start time
+#: cannot be read (see :func:`repro.obs.sampler.process_start`).
+_MODULE_T0 = time.perf_counter()
+
 import argparse
 import logging
 import sys
@@ -934,8 +940,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_serve_router(args: argparse.Namespace) -> int:
     """The ``serve --workers N`` scale-out path."""
-    import time
-
     from .errors import ServeError, TraceError
     from .obs import get_registry
     from .serve import start_router
@@ -975,6 +979,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
     except (ServeError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _record_phase(registry, "process.boot", registry.epoch, time.perf_counter())
     n_workers = len(handle.supervisor.workers)
     print(
         f"routing {store.n_machines} machine(s) across {n_workers} "
@@ -1032,8 +1037,6 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from .errors import ServeError, TraceError
     from .obs import get_registry
     from .serve import AsyncIngester, ServeState, start_server
@@ -1096,6 +1099,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registry=registry,
         ingester=ingester,
     )
+    _record_phase(registry, "process.boot", registry.epoch, time.perf_counter())
     print(
         f"serving {state.n_machines} machine(s) ({source}, horizon day "
         f"{state.horizon_day}) on {handle.url} — POST /v1/shutdown or "
@@ -1629,17 +1633,19 @@ def _write_manifest(
         print(f"wrote run manifest to {path}", file=sys.stderr)
 
 
+def _record_phase(registry, name: str, start: float, end: float) -> None:
+    """Record a startup phase as a ``name`` event on ``registry``'s span
+    timeline (``start``/``end`` are ``time.perf_counter()`` readings);
+    ``build_manifest`` lifts ``process.*`` events into ``startup``."""
+    registry.record(
+        name,
+        start_s=round(start - registry.epoch, 6),
+        duration_s=round(end - start, 6),
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    import time
     from datetime import datetime, timezone
-
-    argv_list = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(argv_list)
-
-    error = _check_out_paths(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
     from .obs import (
         MetricsRegistry,
@@ -1648,11 +1654,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         setup_logging,
         use_registry,
     )
+    from .obs.sampler import process_start
+
+    # Created first: its epoch marks main() entry, where process.import
+    # ends and serve's process.boot starts.
+    registry = MetricsRegistry()
+    argv_list = list(argv) if argv is not None else sys.argv[1:]
+    args = build_parser().parse_args(argv_list)
+
+    error = _check_out_paths(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     setup_logging(level=args.log_level, json_lines=args.log_json)
-    registry = MetricsRegistry()
     for name in _DECLARED_COUNTERS:
         registry.inc(name, 0)
+    # Interpreter start to main(): interpreter boot plus every import.  A
+    # process that runs main() more than once (a test session) counts all
+    # it did before this call.
+    started = process_start()
+    _record_phase(
+        registry,
+        "process.import",
+        _MODULE_T0 if started is None else min(started, _MODULE_T0),
+        registry.epoch,
+    )
     # The background resource sampler only runs when telemetry output was
     # asked for, preserving the zero-cost-when-disabled contract.
     sampler = None

@@ -40,8 +40,10 @@ __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "build_manifest"]
 #: scale-out front (``workers`` — per-worker QPS/latency/tier lanes and
 #: a ``totals`` roll-up — plus block-paging counters
 #: (``tier.n_blocks``/``tier.block_machines``) and the bounded ingest
-#: queue's ``ingest.queue`` depth/backpressure accounting).
-MANIFEST_SCHEMA_VERSION = 9
+#: queue's ``ingest.queue`` depth/backpressure accounting); v10 added the
+#: ``startup`` section (the ``process.import`` / ``process.boot`` phases
+#: that run before and around the command's root span).
+MANIFEST_SCHEMA_VERSION = 10
 
 
 @dataclass
@@ -109,14 +111,21 @@ class RunManifest:
     #: ``classes``, and the resolved frame.  ``scenario diff`` runs list
     #: every compared scenario under ``compared``.
     scenario: dict = field(default_factory=dict)
+    #: Startup phases (schema v10), as span records on the ``spans``
+    #: timeline: ``process.import`` runs from interpreter start (or the
+    #: CLI module's first line where ``/proc`` is unreadable) to
+    #: ``main()`` entry, so its ``start_s`` is negative; ``serve`` adds
+    #: ``process.boot``, from ``main()`` entry to the listening socket.
+    startup: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        # Tolerate v1–v6 documents, which predate the faults/retries,
-        # shards, io, generation, resources, and serve sections.
+        # Tolerate v1–v9 documents, which predate the faults/retries,
+        # shards, io, generation, resources, serve, scenario and startup
+        # sections.
         data = dict(data)
         data.setdefault("faults", {})
         data.setdefault("retries", {})
@@ -126,6 +135,7 @@ class RunManifest:
         data.setdefault("resources", {})
         data.setdefault("serve", {})
         data.setdefault("scenario", {})
+        data.setdefault("startup", [])
         return cls(**data)
 
     def write(self, path: Union[str, Path]) -> Path:
@@ -262,6 +272,8 @@ def build_manifest(
         scenario = scenario_events[0]
     elif scenario_events:
         scenario = {"compared": scenario_events}
+    # Startup: the CLI records each process.* phase as one event.
+    startup = [e for e in events if e.get("name", "").startswith("process.")]
     # Resources: the sampler's bounded series (when one ran) plus the
     # per-worker peaks merged from worker telemetry.
     resources_section: dict = dict(resources) if resources else {}
@@ -298,4 +310,5 @@ def build_manifest(
         resources=resources_section,
         serve=serve,
         scenario=scenario,
+        startup=startup,
     )

@@ -161,6 +161,11 @@ class MetricsRegistry:
         self._workers: dict[int, dict] = {}
 
     @property
+    def epoch(self) -> float:
+        """``time.perf_counter()`` at span offset 0."""
+        return self._epoch
+
+    @property
     def epoch_unix(self) -> float:
         """Wall-clock time (``time.time()``) at span offset 0."""
         return self._epoch_unix

@@ -334,6 +334,10 @@ def render_manifest_report(manifest: RunManifest) -> str:
             f"{str(entry.get('fingerprint', ''))[:16]}…"
         )
 
+    if m.startup:
+        lines += ["", "startup (wall clock, before and around the command):"]
+        _phase_lines(m.startup, 0.0, 0, lines)
+
     if m.spans:
         lines += ["", "phase breakdown (wall clock, % of command):"]
         root_total = m.spans[0].get("duration_s") or m.duration_s

@@ -35,7 +35,7 @@ import threading
 import time
 from typing import Optional
 
-__all__ = ["ResourceSampler", "read_process_stats"]
+__all__ = ["ResourceSampler", "process_start", "read_process_stats"]
 
 #: Fields every sample carries (missing sources report ``None``).
 SAMPLE_FIELDS = (
@@ -67,6 +67,25 @@ def _proc_cpu_seconds() -> Optional[float]:
         return (int(fields[11]) + int(fields[12])) / _CLK
     except (OSError, ValueError, IndexError):
         return None
+
+
+def process_start() -> Optional[float]:
+    """When this process started, as a ``time.perf_counter()`` reading.
+
+    ``/proc/self/stat`` field 22 (``starttime``) counts clock ticks since
+    boot, so the process's age is ``CLOCK_BOOTTIME`` now minus it; the
+    result is good to one tick (10 ms at 100 Hz).  ``None`` where
+    ``/proc`` or ``CLOCK_BOOTTIME`` is unavailable.
+    """
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            fields = fh.read().rsplit(b")", 1)[1].split()
+        # After stripping the "pid (comm)" prefix, field 22 is offset 19.
+        started = int(fields[19]) / _CLK
+        age = time.clock_gettime(time.CLOCK_BOOTTIME) - started
+    except (OSError, ValueError, IndexError, AttributeError):
+        return None
+    return time.perf_counter() - age
 
 
 def _proc_open_fds() -> Optional[int]:

@@ -286,6 +286,7 @@ def _generate_scenario_fleet(
     from ..parallel.backend import get_backend
     from ..traces.generate import _fold_machine_telemetry
     from ..traces.records import EVENT_DTYPE, EventColumns
+    from ..workloads.loadmodel import preload_filter
 
     registry = get_registry()
     n = compiled.n_machines
@@ -303,6 +304,7 @@ def _generate_scenario_fleet(
         compiled.seed,
         execution.jobs,
     )
+    preload_filter()
     backend = get_backend(execution)
     fault_context = execution.fault_context("scenario.machine", quarantine=True)
     count_draws = registry.enabled
@@ -484,6 +486,7 @@ def generate_scenario_shards(
         generate_shards,
         partition_machines,
     )
+    from ..workloads.loadmodel import preload_filter
 
     execution = execution if execution is not None else ExecutionConfig()
     if compiled.is_trivial:
@@ -509,6 +512,7 @@ def generate_scenario_shards(
             n_shards,
             len(ranges),
         )
+    preload_filter()
     backend = get_backend(execution)
     faults = execution.fault_context("scenario.shard", quarantine=True)
     payloads = [

@@ -46,6 +46,7 @@ from ..workloads.labuser import EpisodePlanner
 from ..workloads.loadmodel import (
     MachineTraceGenerator,
     hourly_mean_load_columns,
+    preload_filter,
     synth_context,
     synthesize_samples_columns,
 )
@@ -194,6 +195,7 @@ def _generate_fleet_columns(
         config.seed,
         execution.jobs,
     )
+    preload_filter()
     backend = get_backend(execution)
     fault_context = execution.fault_context("generate.machine", quarantine=True)
     count_draws = registry.enabled

@@ -844,6 +844,7 @@ def generate_shards(
     from ..obs.metrics import get_registry
     from ..parallel.backend import get_backend
     from ..parallel.cache import config_fingerprint, dataset_cache_key
+    from ..workloads.loadmodel import preload_filter
     from .generate import dataset_metadata
 
     _check_format(format)
@@ -871,6 +872,7 @@ def generate_shards(
         config.seed,
         execution.jobs,
     )
+    preload_filter()
     backend = get_backend(execution)
     faults = execution.fault_context("generate.shard", quarantine=True)
     payloads = [

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.signal
 
 from ..config import FgcsConfig
 from ..core.model import DEFAULT_GUEST_WORKING_SET_MB
@@ -34,6 +33,7 @@ __all__ = [
     "MachineTraceGenerator",
     "SynthContext",
     "hourly_mean_load_columns",
+    "preload_filter",
     "synth_context",
     "synthesize_samples",
     "synthesize_samples_columns",
@@ -56,12 +56,27 @@ class MachineTrace:
     span: float
 
 
+def preload_filter() -> None:
+    """Import the AR(1) filter's ``scipy.signal`` now.
+
+    ``scipy.signal`` is imported where :func:`_ar1` and :func:`_ar1_from`
+    call ``lfilter``, so no process pays its ~1 s import unless it
+    synthesizes.  Every entry point that maps synthesis over a worker pool
+    calls this in the parent just before building the backend: fork-started
+    workers then share the parent's loaded scipy pages instead of each
+    importing (and dirtying) its own copy.
+    """
+    import scipy.signal  # noqa: F401
+
+
 def _ar1(n: int, rng: np.random.Generator, *, corr_time: float, step: float) -> np.ndarray:
     """A unit-variance AR(1) series with the given correlation time."""
     rho = float(np.exp(-step / corr_time))
     eps = rng.standard_normal(n) * np.sqrt(1.0 - rho * rho)
     # Warm start from the stationary distribution.
     eps[0] = rng.standard_normal()
+    import scipy.signal
+
     return scipy.signal.lfilter([1.0], [1.0, -rho], eps)
 
 
@@ -157,6 +172,8 @@ def _ar1_from(body: np.ndarray, eps0: float, rho: float) -> np.ndarray:
     """
     eps = body * np.sqrt(1.0 - rho * rho)
     eps[0] = eps0
+    import scipy.signal
+
     return scipy.signal.lfilter([1.0], [1.0, -rho], eps)
 
 

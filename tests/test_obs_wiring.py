@@ -11,7 +11,11 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +31,9 @@ from repro.obs import (
 from repro.obs import progress as obs_progress
 from repro.parallel.backend import ProcessPoolBackend, SerialBackend
 from repro.parallel.cache import DatasetCache, dataset_cache_key
+from repro.serve import ServeClient
 from repro.traces.generate import generate_dataset
+from repro.traces.shards import generate_shards
 from repro.units import DAY
 
 
@@ -379,6 +385,68 @@ class TestTelemetryOutputs:
         )
         assert rc == 2
         assert "does not support '-'" in capsys.readouterr().err
+
+
+class TestStartupSpans:
+    """``process.import`` / ``process.boot`` land in the manifest's
+    ``startup`` section and in the rendered report."""
+
+    def test_serve_records_import_and_boot(self, cfg, tmp_path, capsys):
+        store = tmp_path / "store"
+        generate_shards(cfg, store, 2, format="binary")
+        manifest_path = tmp_path / "serve.json"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(store),
+             "--metrics-out", str(manifest_path)],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            for line in proc.stderr:
+                match = re.search(r"on (http://\S+)", line)
+                if match:
+                    break
+            else:
+                pytest.fail("serve exited before listening")
+            with ServeClient(match.group(1)) as client:
+                client.shutdown()
+            proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+
+        manifest = json.loads(manifest_path.read_text())
+        startup = manifest["startup"]
+        assert [phase["name"] for phase in startup] == [
+            "process.import",
+            "process.boot",
+        ]
+        assert all(0 < phase["duration_s"] for phase in startup), startup
+        # Import ends where boot starts: at main() entry, before the
+        # registry's span epoch.
+        imp, boot = startup
+        assert imp["start_s"] < 0
+        assert imp["start_s"] + imp["duration_s"] == pytest.approx(
+            boot["start_s"], abs=1e-5
+        )
+
+        assert cli.main(["report", str(manifest_path)]) == 0
+        out = capsys.readouterr().out
+        assert "process.import" in out and "process.boot" in out
+
+    def test_every_command_records_import(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert cli.main(
+            ["thresholds", "--duration", "5.0", "--metrics-out", str(out)]
+        ) == 0
+        (phase,) = json.loads(out.read_text())["startup"]
+        assert phase["name"] == "process.import"
+        assert 0 < phase["duration_s"]
 
 
 class TestReportCommandModes:
