@@ -938,113 +938,97 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return _partial_results(dataset)
 
 
-def _cmd_serve_router(args: argparse.Namespace) -> int:
-    """The ``serve --workers N`` scale-out path."""
-    from .errors import ServeError, TraceError
-    from .obs import get_registry
+def _serve_local(args: argparse.Namespace, registry, knobs: dict):
+    """The one-process daemon: a state over the trace, its ingest queue."""
+    from .serve import AsyncIngester, ServeState, start_server
+    from .traces import is_shard_store, load_dataset, open_shards
+    from .traces.records import EventColumns
+
+    if is_shard_store(args.trace):
+        store = open_shards(args.trace)
+        state = ServeState.from_store(
+            store, block_machines=args.block_machines, **knobs
+        )
+        source = f"{store.n_shards} shard(s)"
+    else:
+        dataset = load_dataset(args.trace)
+        state = ServeState.from_columns(EventColumns.from_dataset(dataset), **knobs)
+        source = f"{len(dataset)} event(s)"
+    snapshot_fn = None
+    if args.snapshot_dir is not None:
+        from pathlib import Path
+
+        snap = Path(args.snapshot_dir) / "serve.npz"
+        if snap.exists():
+            restored = state.restore_overlay_snapshot(snap)
+            print(
+                f"restored {restored} streamed event(s) from {snap}",
+                file=sys.stderr,
+            )
+        snapshot_fn = lambda: state.save_overlay_snapshot(snap)  # noqa: E731
+    ingester = AsyncIngester(
+        state,
+        max_pending_events=args.ingest_queue,
+        snapshot_every=args.snapshot_every if snapshot_fn else None,
+        snapshot_fn=snapshot_fn,
+    )
+    handle = start_server(
+        state, host=args.host, port=args.port, registry=registry, ingester=ingester
+    )
+    return handle, source
+
+
+def _serve_fleet(args: argparse.Namespace, registry, knobs: dict):
+    """``--workers N``: the same front over a fleet of shard workers."""
+    from .errors import ServeError
     from .serve import start_router
     from .traces import is_shard_store, open_shards
 
     if not is_shard_store(args.trace):
-        print(
-            "error: --workers needs a shard-store trace (worker "
-            "processes rebuild their machine ranges from the store); "
-            f"{args.trace!r} is a flat trace file",
-            file=sys.stderr,
+        raise ServeError(
+            "--workers needs a shard-store trace (worker processes "
+            "rebuild their machine ranges from the store); "
+            f"{args.trace!r} is a flat trace file"
         )
-        return 2
-    hot_bytes = (
-        int(args.hot_mb * (1 << 20)) if args.hot_mb is not None else None
+    store = open_shards(args.trace)
+    handle = start_router(
+        store,
+        str(args.trace),
+        n_workers=args.workers,
+        host=args.host,
+        port=args.port,
+        registry=registry,
+        block_machines=args.block_machines,
+        ingest_queue=args.ingest_queue,
+        snapshot_dir=args.snapshot_dir,
+        snapshot_every=args.snapshot_every,
+        **knobs,
     )
-    registry = get_registry()
-    try:
-        store = open_shards(args.trace)
-        handle = start_router(
-            store,
-            str(args.trace),
-            n_workers=args.workers,
-            host=args.host,
-            port=args.port,
-            registry=registry,
-            block_machines=args.block_machines,
-            hot_shards=args.hot_shards,
-            hot_bytes=hot_bytes,
-            history_days=args.history_days,
-            statistic=args.statistic,
-            laplace=args.laplace,
-            ingest_queue=args.ingest_queue,
-            snapshot_dir=args.snapshot_dir,
-            snapshot_every=args.snapshot_every,
-        )
-    except (ServeError, TraceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _record_phase(registry, "process.boot", registry.epoch, time.perf_counter())
-    n_workers = len(handle.supervisor.workers)
-    print(
-        f"routing {store.n_machines} machine(s) across {n_workers} "
-        f"worker(s) ({store.n_shards} shard(s)) on {handle.url} — "
-        "POST /v1/shutdown or Ctrl-C to stop",
-        file=sys.stderr,
-    )
-    t0 = time.perf_counter()
-    try:
-        handle.wait()
-    except KeyboardInterrupt:
-        print("interrupted, shutting down", file=sys.stderr)
-    finally:
-        # Gather per-worker lanes before the fleet goes away.
-        try:
-            _, fleet_stats, _ = handle.app.stats()
-        except Exception:
-            fleet_stats = {"workers": [], "totals": {}}
-        handle.close()
-        duration = time.perf_counter() - t0
-        requests = registry.counter_value("serve.requests")
-        lanes = []
-        for lane in fleet_stats.get("workers", []):
-            entry = {
-                "worker": lane.get("worker"),
-                "up": lane.get("up", False),
-                "machine_lo": lane.get("machine_lo"),
-                "machine_hi": lane.get("machine_hi"),
-                "requests": lane.get("requests", 0),
-                "qps": (
-                    round(lane.get("requests", 0) / duration, 3)
-                    if duration > 0
-                    else 0.0
-                ),
-            }
-            if lane.get("latency"):
-                entry["latency"] = lane["latency"]
-            if lane.get("tier"):
-                entry["tier"] = lane["tier"]
-            if lane.get("ingest"):
-                entry["ingest"] = lane["ingest"]
-            lanes.append(entry)
-        registry.record(
-            "serve",
-            role="router",
-            requests=requests,
-            qps=round(requests / duration, 3) if duration > 0 else 0.0,
-            duration_s=round(duration, 3),
-            machines=store.n_machines,
-            n_workers=n_workers,
-            workers=lanes,
-            totals=fleet_stats.get("totals", {}),
-        )
-    return 0
+    n_workers = len(handle.app.backend.supervisor.workers)
+    return handle, f"{store.n_shards} shard(s) across {n_workers} worker(s)"
+
+
+def _ingest_lines(app, lines, registry) -> None:
+    """Ingest JSONL lines through the front, one line per batch, in
+    order: a refusal that carries ``retry_after`` (queue full, worker
+    range restarting) is waited out and the same line retried."""
+    for line in lines:
+        body = line.strip().encode("utf-8")
+        if not body:
+            continue
+        while True:
+            status, payload, _ = app.handle_full("POST", "/v1/ingest", body)
+            if status == 200 or "retry_after" not in payload:
+                break
+            time.sleep(payload["retry_after"])
+        if status != 200:
+            print(f"ingest error ({status}): {payload['error']}", file=sys.stderr)
+            registry.inc("serve.ingest_errors")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .errors import ServeError, TraceError
     from .obs import get_registry
-    from .serve import AsyncIngester, ServeState, start_server
-    from .traces import is_shard_store, load_dataset, open_shards
-    from .traces.records import EventColumns
-
-    if args.workers != 1:
-        return _cmd_serve_router(args)
 
     hot_bytes = (
         int(args.hot_mb * (1 << 20)) if args.hot_mb is not None else None
@@ -1056,114 +1040,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
         statistic=args.statistic,
         laplace=args.laplace,
     )
+    registry = get_registry()
+    start = _serve_local if args.workers == 1 else _serve_fleet
     try:
-        if is_shard_store(args.trace):
-            store = open_shards(args.trace)
-            state = ServeState.from_store(
-                store, block_machines=args.block_machines, **knobs
-            )
-            source = f"{store.n_shards} shard(s)"
-        else:
-            dataset = load_dataset(args.trace)
-            state = ServeState.from_columns(
-                EventColumns.from_dataset(dataset), **knobs
-            )
-            source = f"{len(dataset)} event(s)"
-        snapshot_fn = None
-        if args.snapshot_dir is not None:
-            from pathlib import Path
-
-            snap = Path(args.snapshot_dir) / "serve.npz"
-            if snap.exists():
-                restored = state.restore_overlay_snapshot(snap)
-                print(
-                    f"restored {restored} streamed event(s) from {snap}",
-                    file=sys.stderr,
-                )
-            snapshot_fn = lambda: state.save_overlay_snapshot(snap)  # noqa: E731
+        handle, source = start(args, registry, knobs)
     except (ServeError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    registry = get_registry()
-    ingester = AsyncIngester(
-        state,
-        max_pending_events=args.ingest_queue,
-        snapshot_every=args.snapshot_every if snapshot_fn else None,
-        snapshot_fn=snapshot_fn,
-    )
-    handle = start_server(
-        state,
-        host=args.host,
-        port=args.port,
-        registry=registry,
-        ingester=ingester,
-    )
     _record_phase(registry, "process.boot", registry.epoch, time.perf_counter())
+    backend = handle.app.backend
     print(
-        f"serving {state.n_machines} machine(s) ({source}, horizon day "
-        f"{state.horizon_day}) on {handle.url} — POST /v1/shutdown or "
+        f"serving {backend.n_machines} machine(s) ({source}, horizon day "
+        f"{backend.horizon_day}) on {handle.url} — POST /v1/shutdown or "
         "Ctrl-C to stop",
         file=sys.stderr,
     )
     t0 = time.perf_counter()
-    rc = 0
     try:
         if args.stdin:
             # Tail stdin as a JSONL event stream; queries keep being
             # answered on the server threads while this loop ingests.
-            for line in sys.stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    state.ingest_jsonl([line])
-                except ServeError as exc:
-                    print(f"ingest error: {exc}", file=sys.stderr)
-                    registry.inc("serve.ingest_errors")
-            handle.wait()
-        else:
-            handle.wait()
+            _ingest_lines(handle.app, sys.stdin, registry)
+        handle.wait()
     except KeyboardInterrupt:
         print("interrupted, shutting down", file=sys.stderr)
     finally:
-        handle.close()  # drains + closes the ingester (final snapshot)
+        handle.close()  # drains the ingest queue, or stops the workers
         duration = time.perf_counter() - t0
         requests = registry.counter_value("serve.requests")
-        tiers = state.tier_stats()
-        queue = ingester.stats()
         registry.record(
             "serve",
             requests=requests,
             qps=round(requests / duration, 3) if duration > 0 else 0.0,
             duration_s=round(duration, 3),
-            machines=state.n_machines,
-            horizon_day=state.horizon_day,
-            tier={
-                "hot_entries": tiers.hot_entries,
-                "resident_bytes": tiers.resident_bytes,
-                "hits": tiers.hits,
-                "rebuilds": tiers.rebuilds,
-                "evictions": tiers.evictions,
-                "n_blocks": tiers.n_blocks,
-                "block_machines": tiers.block_machines,
-            },
-            ingest={
-                "streamed_events": tiers.streamed_events,
-                "deduplicated_events": tiers.deduplicated_events,
-                "overlay_cells": tiers.overlay_cells,
-                "queue": {
-                    "depth_events": queue.depth_events,
-                    "capacity_events": queue.capacity_events,
-                    "enqueued_batches": queue.enqueued_batches,
-                    "applied_batches": queue.applied_batches,
-                    "backpressure_rejections": queue.backpressure_rejections,
-                    "snapshots": queue.snapshots,
-                    "snapshot_failures": queue.snapshot_failures,
-                },
-            },
+            machines=backend.n_machines,
+            **backend.summary(duration),
         )
-    return rc
+    return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:

@@ -89,3 +89,17 @@ class IngestBackpressureError(ServeError):
     def __init__(self, message: str, retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class RangeUnavailableError(ServeError):
+    """Raised when a scale-out worker's machine range is down (crashed,
+    respawning).
+
+    Carries ``retry_after`` (seconds), surfaced as HTTP 503 with a
+    ``Retry-After`` header for that range only; every other range keeps
+    serving.
+    """
+
+    def __init__(self, message: str, retry_after: float = 1.0):
+        super().__init__(message)
+        self.retry_after = retry_after

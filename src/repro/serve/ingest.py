@@ -122,6 +122,7 @@ class AsyncIngester:
         # Grows like the state's own tail map (one entry per streamed
         # machine) and stays consistent with it by construction.
         self._shadow_tails: dict = {}
+        self._accepted_horizon = 0
         self._applying = False
         self._closed = False
         self._enqueued = 0
@@ -145,16 +146,18 @@ class AsyncIngester:
         return self._state.tail_of(machine_id)
 
     def validate_only(
-        self, events: Iterable[Union[dict, Sequence]]
+        self, events: Iterable[Union[dict, Sequence]], horizon: int = 0
     ) -> ValidatedBatch:
         """Decide a batch's fate against the effective tails, applying
         and enqueuing nothing — the dry-run half of the router's
         two-phase cross-worker ingest."""
         with self._lock:
             self._check_open()
-            return self._state.validate_events(events, self._tail_of)
+            return self._state.validate_events(events, self._tail_of, horizon)
 
-    def submit(self, events: Iterable[Union[dict, Sequence]]) -> ValidatedBatch:
+    def submit(
+        self, events: Iterable[Union[dict, Sequence]], horizon: int = 0
+    ) -> ValidatedBatch:
         """Validate a batch and enqueue it for application.
 
         Synchronous contract, deferred application: raises exactly what
@@ -163,11 +166,12 @@ class AsyncIngester:
         full, and returns the validated batch (same accepted/deduplicated
         counts, plus the projected horizon).  On return the batch is
         durable in the queue and its events are visible to the *next*
-        batch's validation.
+        batch's validation.  ``horizon`` declares the days before it
+        observed once the batch applies, events or not.
         """
         with self._lock:
             self._check_open()
-            batch = self._state.validate_events(events, self._tail_of)
+            batch = self._state.validate_events(events, self._tail_of, horizon)
             n_new = batch.n_accepted
             if n_new and self._depth_events and (
                 self._depth_events + n_new > self._capacity
@@ -182,9 +186,16 @@ class AsyncIngester:
             self._queue.append(batch)
             self._depth_events += n_new
             self._shadow_tails.update(batch.tails)
+            self._accepted_horizon = max(self._accepted_horizon, batch.horizon_day)
             self._enqueued += 1
             self._has_work.notify()
             return batch
+
+    @property
+    def horizon_day(self) -> int:
+        """First unobserved day once every accepted batch is applied —
+        the state's horizon, without waiting for the writer."""
+        return max(self._state.horizon_day, self._accepted_horizon)
 
     def _check_open(self) -> None:
         if self._closed:

@@ -1,34 +1,35 @@
-"""Horizontal scale-out: a router front-end over per-shard-range workers.
+"""Horizontal scale-out: the fleet backend and its worker supervision.
 
 A single serve process tops out on one GIL: the accept loop, the JSON
 codec, and the fleet sweeps all contend for the same interpreter, so
 throughput saturates long before the hardware does (the classic
-single-process collapse the multicore-OS literature documents).  The
-scale-out front keeps every piece of PR 8's protocol and exactness while
-spreading the *state* across processes:
+single-process collapse the multicore-OS literature documents).
+``serve --workers N`` keeps the front — the route table, parsing, error
+contract and telemetry of :class:`~repro.serve.server.ServeApp` — and
+spreads the *state* across processes behind it:
 
 * ``start_router(store, n_workers=N)`` partitions the store's shards
   into N contiguous runs and **spawns one worker process per run** —
-  each a full :func:`~repro.serve.server.start_server` daemon whose
+  each a :func:`~repro.serve.server.start_server` daemon whose
   :class:`~repro.serve.state.ServeState` owns exactly that machine
   range (the per-shard count blocks are already independent, so the
   partition is free).  Workers use the ``spawn`` start method: a fresh
   interpreter, picklable specs, and safe respawn while router threads
   run.
-* The **router** is a thin HTTP front: per-machine queries
-  (``availability``, single-machine ``ingest``) are forwarded verbatim
-  to the owning worker over persistent per-thread upstream connections;
-  fleet-wide ``capacity``/``rank`` scatter to every worker in parallel
-  and merge vectorized (integer partial sums and a global
-  ``(-survival, machine)`` sort — exactly the single-process answer,
-  see ``docs/serving.md``).  The router holds *no* predictor state, so
-  its per-request work is a dict lookup and byte shuffling.
+* :class:`FleetBackend` is the front's backend over the workers: point
+  queries (``availability``, single-owner ``ingest``) go to the owning
+  worker over persistent per-thread upstream connections; fleet-wide
+  ``capacity``/``rank`` scatter to every worker in parallel and merge
+  vectorized (integer partial sums and a global ``(-survival, machine)``
+  sort — exactly the single-process answer, see ``docs/serving.md``).
+  It holds *no* predictor state; its "now" is the fleet horizon, and
+  every forwarded query names its day explicitly.
 * A **supervisor thread** watches worker processes.  A dead worker
   (crash, SIGKILL) marks its machine range down — requests for it get
   503 + ``Retry-After`` *for that range only*; everything else keeps
   serving — and is respawned from the store (plus its overlay snapshot,
-  when snapshots are on).  Worker ports are handed back over a pipe at
-  boot, so respawns rebind freely.
+  when snapshots are on).  Worker ports and boot horizons are handed
+  back over a pipe, so respawns rebind freely.
 
 Cross-worker ingest batches keep the atomic-batch contract by a
 two-phase protocol under a router-wide ingest lock: every owner
@@ -51,19 +52,19 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from typing import Optional, Sequence
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlencode
 
 import numpy as np
 
-from ..errors import ServeError
+from ..errors import RangeUnavailableError, ServeError
 from ..obs.metrics import MetricsRegistry
 from ..traces.shards import ShardedTraceDataset
+from .server import PATHS, ROUTES, Reply, ServeApp, ServeHandle, serve_app
+from .state import parse_event
 
 __all__ = [
-    "RouterApp",
-    "RouterHandle",
+    "FleetBackend",
     "WorkerSpec",
     "start_router",
     "worker_main",
@@ -149,13 +150,12 @@ def worker_main(spec: WorkerSpec, conn) -> None:
         ingester=ingester,
         worker_id=spec.worker_id,
     )
-    conn.send(handle.port)
+    conn.send((handle.port, state.horizon_day))
     conn.close()
     try:
         handle.wait()  # until POST /v1/shutdown stops the serve loop
     finally:
-        handle.server.server_close()
-        ingester.close(timeout=30.0)
+        handle.close()
 
 
 # -- upstream connections ------------------------------------------------------
@@ -221,16 +221,14 @@ class _Upstream:
         return status, headers, payload
 
 
-class _WorkerDown(ServeError):
-    """Internal: the owning worker's range is temporarily unavailable."""
-
-    def __init__(self, worker: "WorkerHandle"):
-        super().__init__(
-            f"machine range [{worker.machine_lo}, {worker.machine_hi}) is "
-            f"temporarily unavailable (worker {worker.spec.worker_id} "
-            "restarting); retry shortly"
-        )
-        self.worker = worker
+def _range_down(worker: "WorkerHandle") -> RangeUnavailableError:
+    """The 503 for a worker's machine range while it is down."""
+    return RangeUnavailableError(
+        f"machine range [{worker.machine_lo}, {worker.machine_hi}) is "
+        f"temporarily unavailable (worker {worker.spec.worker_id} "
+        "restarting); retry shortly",
+        retry_after=_DOWN_RETRY_AFTER,
+    )
 
 
 # -- supervision ---------------------------------------------------------------
@@ -245,6 +243,9 @@ class WorkerHandle:
         self.machine_hi = machine_hi
         self.process = None
         self.port: Optional[int] = None
+        #: The horizon the worker is known to hold: its boot horizon,
+        #: raised by its ingest answers and by horizon syncs.
+        self.horizon_day = 0
         #: Bumped on every (re)spawn so pooled connections self-invalidate.
         self.generation = 0
         self.down = True
@@ -289,11 +290,12 @@ class WorkerSupervisor:
                 f"worker {worker.spec.worker_id} did not report a port "
                 f"within {_BOOT_TIMEOUT_S:.0f}s"
             )
-        port = parent.recv()
+        port, horizon_day = parent.recv()
         parent.close()
         with worker.lock:
             worker.process = process
             worker.port = port
+            worker.horizon_day = horizon_day
             worker.generation += 1
             worker.respawns += 1
             worker.down = False
@@ -334,7 +336,7 @@ class WorkerSupervisor:
                 continue
             try:
                 up = _Upstream("127.0.0.1", port, timeout=5.0)
-                up.request("POST", "/v1/shutdown", b"")
+                up.request("POST", PATHS["shutdown"], b"")
                 up.close()
             except OSError:
                 pass
@@ -352,31 +354,58 @@ class WorkerSupervisor:
                 process.join(1.0)
 
 
-# -- the router app ------------------------------------------------------------
+# -- the fleet backend ---------------------------------------------------------
 
 
-class RouterApp:
-    """Routes front-door requests across the worker fleet.
+def _target(name: str, **params) -> str:
+    """A worker request target for endpoint ``name``."""
+    return f"{PATHS[name]}?{urlencode(params)}" if params else PATHS[name]
 
-    Speaks the same wire protocol as :class:`~repro.serve.server.ServeApp`
-    (the :class:`~repro.serve.client.ServeClient` cannot tell them
-    apart) but holds no predictor state of its own.
+
+def _ok(reply: tuple[int, dict, dict]) -> dict:
+    """A worker's 200 payload; any other answer is passed through."""
+    status, payload, headers = reply
+    if status != 200:
+        raise Reply(status, payload, headers)
+    return payload
+
+
+class FleetBackend:
+    """Answers from the worker fleet (the ``--workers N`` backend of
+    :class:`~repro.serve.server.ServeApp`).
+
+    Holds no predictor state: point queries go to the owning worker over
+    persistent per-thread upstream connections, fleet sweeps scatter to
+    every worker in parallel and merge exactly.
+
+    Its "now" is the fleet horizon — the max of every worker's boot-time
+    horizon and every ingest answer's.  A worker's answers depend on its
+    horizon too (it bounds the history days), so before a request goes
+    to a worker that is behind, the worker is told the fleet horizon
+    through its ingest queue (``POST /v1/ingest?horizon=H``, no events);
+    every forwarded query also names its ``day`` explicitly.
     """
 
-    def __init__(
-        self,
-        supervisor: WorkerSupervisor,
-        n_machines: int,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, supervisor: WorkerSupervisor, n_machines: int) -> None:
         self.supervisor = supervisor
         self.n_machines = n_machines
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(enabled=False)
-        )
-        self._started = time.time()
         self._local = threading.local()
         self._ingest_lock = threading.Lock()
+        self._horizon_lock = threading.Lock()
+        self._horizon = max(w.horizon_day for w in supervisor.workers)
+        self._final_stats: Optional[dict] = None
+
+    @property
+    def horizon_day(self) -> int:
+        return self._horizon
+
+    def _advance(self, horizon: int) -> None:
+        with self._horizon_lock:
+            self._horizon = max(self._horizon, horizon)
+
+    def _learned(self, worker: WorkerHandle, horizon: int) -> None:
+        with worker.lock:
+            worker.horizon_day = max(worker.horizon_day, horizon)
 
     # -- forwarding -----------------------------------------------------------
 
@@ -403,12 +432,25 @@ class RouterApp:
     def forward(
         self, worker: WorkerHandle, method: str, target: str, body: bytes = b""
     ) -> tuple[int, dict, dict]:
-        """Forward one request to a worker; reconnect once, then mark the
-        range down."""
+        """Forward one request to a worker, first bringing the worker up
+        to the fleet horizon if it is behind (after an ingest elsewhere,
+        or a respawn)."""
+        horizon = self._horizon
+        if worker.horizon_day < horizon:
+            sync = _target("ingest", horizon=horizon)
+            _ok(self._send(worker, "POST", sync, b"[]"))
+            self._learned(worker, horizon)
+        return self._send(worker, method, target, body)
+
+    def _send(
+        self, worker: WorkerHandle, method: str, target: str, body: bytes = b""
+    ) -> tuple[int, dict, dict]:
+        """One request to a worker; reconnect once, then mark the range
+        down."""
         with worker.lock:
             down = worker.down
         if down:
-            raise _WorkerDown(worker)
+            raise _range_down(worker)
         for attempt in (0, 1):
             try:
                 upstream = self._upstream(worker)
@@ -422,7 +464,7 @@ class RouterApp:
                     # this machine range.
                     with worker.lock:
                         worker.down = True
-                    raise _WorkerDown(worker)
+                    raise _range_down(worker)
         try:
             decoded = json.loads(payload) if payload else {}
         except ValueError:
@@ -432,20 +474,19 @@ class RouterApp:
             out_headers["Retry-After"] = headers["retry-after"]
         return status, decoded, out_headers
 
-    def _scatter(
-        self, method: str, target: str, body: bytes = b""
-    ) -> list[tuple[int, dict, dict]]:
-        """Forward to every worker in parallel; raises :class:`_WorkerDown`
-        if any range is unavailable (fleet answers must be whole)."""
+    def _gather(self, name: str, **params) -> list[dict]:
+        """Ask every worker in parallel; every range must answer 200
+        (fleet answers are whole or not at all)."""
+        target = _target(name, **params)
+        method = ROUTES[PATHS[name]][0]
         workers = self.supervisor.workers
         results: list = [None] * len(workers)
-        errors: list = [None] * len(workers)
 
         def fetch(i: int, worker: WorkerHandle) -> None:
             try:
-                results[i] = self.forward(worker, method, target, body)
+                results[i] = self.forward(worker, method, target)
             except ServeError as exc:
-                errors[i] = exc
+                results[i] = exc
 
         if len(workers) == 1:
             fetch(0, workers[0])
@@ -458,99 +499,18 @@ class RouterApp:
                 t.start()
             for t in threads:
                 t.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
-
-    # -- plumbing -------------------------------------------------------------
-
-    def handle(
-        self, method: str, target: str, body: bytes = b""
-    ) -> tuple[int, dict]:
-        status, payload, _ = self.handle_full(method, target, body)
-        return status, payload
-
-    def handle_full(
-        self, method: str, target: str, body: bytes = b""
-    ) -> tuple[int, dict, dict]:
-        split = urlsplit(target)
-        path = split.path.rstrip("/") or "/"
-        params = parse_qs(split.query)
-        headers: dict[str, str] = {}
-        t0 = time.perf_counter()
-        try:
-            status, payload, headers = self._route(
-                method, path, params, target, body
-            )
-        except _WorkerDown as exc:
-            status = 503
-            payload = {"error": str(exc), "retry_after": _DOWN_RETRY_AFTER}
-            headers = {"Retry-After": f"{_DOWN_RETRY_AFTER:g}"}
-            self.registry.inc("serve.range_unavailable")
-        except ServeError as exc:
-            message = str(exc)
-            if "unknown machine" in message:
-                status, payload = 404, {"error": message}
-            else:
-                status, payload = 400, {"error": message}
-            headers = {}
-        except Exception as exc:  # pragma: no cover - defensive 500
-            status, payload, headers = (
-                500,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                {},
-            )
-        dt = time.perf_counter() - t0
-        name = path.rsplit("/", 1)[-1] or "root"
-        self.registry.inc("serve.requests")
-        self.registry.inc(f"serve.status.{status // 100}xx")
-        self.registry.observe("serve.request_seconds", dt)
-        self.registry.observe(f"serve.request_seconds.{name}", dt)
-        return status, payload, headers
-
-    def _route(
-        self, method: str, path: str, params: dict, target: str, body: bytes
-    ) -> tuple[int, dict, dict]:
-        if path == "/healthz" and method == "GET":
-            return self.healthz()
-        if path == "/v1/availability" and method == "GET":
-            return self.availability(params, target)
-        if path == "/v1/capacity" and method == "GET":
-            return self.capacity(target)
-        if path == "/v1/rank" and method == "GET":
-            return self.rank(params, target)
-        if path == "/v1/stats" and method == "GET":
-            return self.stats()
-        if path == "/v1/ingest" and method == "POST":
-            return self.ingest(body)
-        if path == "/v1/flush" and method == "POST":
-            return self.flush()
-        if path == "/v1/shutdown" and method == "POST":
-            return 200, {"stopping": True}, {}
-        known = {
-            "/healthz",
-            "/v1/availability",
-            "/v1/capacity",
-            "/v1/rank",
-            "/v1/stats",
-            "/v1/ingest",
-            "/v1/flush",
-            "/v1/shutdown",
-        }
-        if path in known:
-            return 405, {"error": f"{method} not allowed on {path}"}, {}
-        return 404, {"error": f"no such endpoint {path!r}"}, {}
+        for result in results:
+            if isinstance(result, ServeError):
+                raise result
+        return [_ok(result) for result in results]
 
     # -- endpoints ------------------------------------------------------------
 
-    def healthz(self) -> tuple[int, dict, dict]:
+    def health(self) -> dict:
         workers = []
-        all_up = True
         for w in self.supervisor.workers:
             with w.lock:
                 down, respawns = w.down, w.respawns
-            all_up = all_up and not down
             workers.append(
                 {
                     "worker": w.spec.worker_id,
@@ -560,37 +520,28 @@ class RouterApp:
                     "respawns": respawns,
                 }
             )
-        return 200, {
-            "ok": True,
-            "ready": all_up,
+        return {
+            "ready": all(w["up"] for w in workers),
             "role": "router",
             "n_machines": self.n_machines,
+            "horizon_day": self.horizon_day,
             "workers": workers,
-            "uptime_seconds": time.time() - self._started,
-        }, {}
+        }
 
-    def availability(self, params: dict, target: str) -> tuple[int, dict, dict]:
-        raw = params.get("machine", [None])[-1]
-        if raw is None:
-            return 400, {"error": "missing required parameter 'machine'"}, {}
-        try:
-            machine = int(raw)
-        except ValueError:
-            return 400, {
-                "error": f"parameter 'machine' must be an integer, got {raw!r}"
-            }, {}
+    def availability(self, machine: int, day: int, hour: float, duration: float) -> dict:
         worker = self.supervisor.worker_for_machine(machine)
-        return self.forward(worker, "GET", target)
+        target = _target(
+            "availability", machine=machine, day=day, hour=hour, duration=duration
+        )
+        return _ok(self.forward(worker, "GET", target))
 
-    def capacity(self, target: str) -> tuple[int, dict, dict]:
-        results = self._scatter("GET", target)
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-        parts = [payload for _, payload, _ in results]
+    def capacity(self, day: int, hour: float, duration: float, threshold: float) -> dict:
+        parts = self._gather(
+            "capacity", day=day, hour=hour, duration=duration, threshold=threshold
+        )
         available = sum(p["available"] for p in parts)
         survival_sum = sum(p["survival_sum"] for p in parts)
-        merged = {
+        return {
             "available": available,
             "n_machines": self.n_machines,
             "owned": self.n_machines,
@@ -600,26 +551,11 @@ class RouterApp:
             "threshold": parts[0]["threshold"],
             "mean_survival": survival_sum / self.n_machines,
             "survival_sum": survival_sum,
-            "day": parts[0]["day"],
-            "hour": parts[0]["hour"],
-            "duration_hours": parts[0]["duration_hours"],
             "workers": len(parts),
         }
-        return 200, merged, {}
 
-    def rank(self, params: dict, target: str) -> tuple[int, dict, dict]:
-        k_raw = params.get("k", [None])[-1]
-        try:
-            k = 10 if k_raw is None else int(k_raw)
-        except ValueError:
-            return 400, {
-                "error": f"parameter 'k' must be an integer, got {k_raw!r}"
-            }, {}
-        results = self._scatter("GET", target)
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-        parts = [payload for _, payload, _ in results]
+    def rank(self, day: int, hour: float, duration: float, k: int) -> list:
+        parts = self._gather("rank", day=day, hour=hour, duration=duration, k=k)
         machines = np.array(
             [m["machine"] for p in parts for m in p["machines"]], dtype=np.int64
         )
@@ -630,17 +566,12 @@ class RouterApp:
         # lexsort's last key is primary: descending survival, then
         # ascending machine id — the single-process tie-break.
         order = np.lexsort((machines, -survivals))[:k]
-        return 200, {
-            "day": parts[0]["day"],
-            "hour": parts[0]["hour"],
-            "duration_hours": parts[0]["duration_hours"],
-            "machines": [
-                {"machine": int(machines[i]), "survival": float(survivals[i])}
-                for i in order
-            ],
-        }, {}
+        return [
+            {"machine": int(machines[i]), "survival": float(survivals[i])}
+            for i in order
+        ]
 
-    def stats(self) -> tuple[int, dict, dict]:
+    def stats(self) -> dict:
         lanes = []
         totals = {
             "requests": 0,
@@ -655,10 +586,9 @@ class RouterApp:
         }
         for worker in self.supervisor.workers:
             try:
-                status, payload, _ = self.forward(worker, "GET", "/v1/stats")
-            except _WorkerDown:
-                lanes.append({"worker": worker.spec.worker_id, "up": False})
-                continue
+                status, payload, _ = self.forward(worker, "GET", PATHS["stats"])
+            except ServeError:
+                status = None
             if status != 200:
                 lanes.append({"worker": worker.spec.worker_id, "up": False})
                 continue
@@ -677,112 +607,59 @@ class RouterApp:
             totals["backpressure_rejections"] += queue.get(
                 "backpressure_rejections", 0
             )
-        payload = {
+        return {
             "role": "router",
             "n_machines": self.n_machines,
+            "horizon_day": self.horizon_day,
             "workers": lanes,
             "totals": totals,
-            "requests": self.registry.counter_value("serve.requests"),
         }
-        hist = self.registry.histogram("serve.request_seconds")
-        if hist is not None and len(hist):
-            payload["latency"] = hist.summary()
-        return 200, payload, {}
 
-    # -- ingest ---------------------------------------------------------------
-
-    def _decode_events(self, body: bytes) -> list:
-        if not body:
-            raise ServeError("ingest body is empty")
-        text = body.decode("utf-8", errors="replace").strip()
-        if text.startswith("["):
-            try:
-                events = json.loads(text)
-            except ValueError as exc:
-                raise ServeError(f"invalid JSON body: {exc}")
-            if not isinstance(events, list):
-                raise ServeError("ingest JSON body must be an array")
-            return events
-        events = []
-        for i, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ServeError(f"ingest line {i}: invalid JSON: {exc}")
-        return events
-
-    def _event_machine(self, event) -> int:
-        if isinstance(event, dict):
-            raw = event.get("machine_id")
-        else:
-            try:
-                raw = event[0]
-            except (TypeError, IndexError):
-                raw = None
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ServeError(
-                "ingest event must carry an integer machine_id "
-                "(dict field or first sequence element)"
-            )
-
-    def ingest(self, body: bytes) -> tuple[int, dict, dict]:
-        events = self._decode_events(body)
-        slices: dict[int, list] = {}
+    def ingest(self, events: list, dry: bool, horizon: int) -> dict:
+        slices: dict[WorkerHandle, list] = {}
         for event in events:
             owner = self.supervisor.worker_for_machine(
-                self._event_machine(event)
+                parse_event(event, self.n_machines).machine_id
             )
-            slices.setdefault(owner.spec.worker_id, []).append(event)
-        workers = {
-            w.spec.worker_id: w for w in self.supervisor.workers
+            slices.setdefault(owner, []).append(event)
+        bodies = {
+            worker: json.dumps(part).encode("utf-8")
+            for worker, part in slices.items()
         }
-        if len(slices) == 1:
+        dry_target = _target("ingest", dry=1)
+        if len(bodies) == 1:
             # Single owner: the worker's own validate+enqueue is already
-            # atomic; forward verbatim (status, 409s, and 429 backpressure
-            # pass straight through).
-            [(worker_id, payload_events)] = slices.items()
-            body_out = json.dumps(payload_events).encode("utf-8")
-            return self.forward(
-                workers[worker_id], "POST", "/v1/ingest", body_out
-            )
-        # Cross-worker batch: two phases under the router ingest lock so
-        # concurrent batches cannot interleave between validate and
-        # commit.  Phase 1 dry-runs every slice; any rejection rejects
-        # the whole batch with nothing applied anywhere.
-        with self._ingest_lock:
-            encoded = {
-                wid: json.dumps(evs).encode("utf-8")
-                for wid, evs in slices.items()
-            }
-            for wid, slice_body in encoded.items():
-                status, payload, headers = self.forward(
-                    workers[wid], "POST", "/v1/ingest?dry=1", slice_body
-                )
-                if status != 200:
-                    return status, payload, headers
-            accepted = deduplicated = 0
-            horizon = 0
-            for wid, slice_body in encoded.items():
-                status, payload, headers = self._commit_slice(
-                    workers[wid], slice_body
-                )
-                if status != 200:  # pragma: no cover - crash mid-commit
-                    return status, payload, headers
-                accepted += payload["accepted"]
-                deduplicated += payload["deduplicated"]
-                horizon = max(horizon, payload.get("horizon_day", 0))
-        return 200, {
-            "accepted": accepted,
-            "deduplicated": deduplicated,
-            "dry": False,
-            "horizon_day": horizon,
-            "workers": len(slices),
-        }, {}
+            # atomic; its 409s and 429 backpressure pass straight through.
+            [(worker, body)] = bodies.items()
+            target = dry_target if dry else PATHS["ingest"]
+            parts = [_ok(self.forward(worker, "POST", target, body))]
+        else:
+            # Cross-worker batch: two phases under the ingest lock so
+            # concurrent batches cannot interleave between validate and
+            # commit.  Phase 1 dry-runs every slice; any rejection
+            # rejects the whole batch with nothing applied anywhere.
+            with self._ingest_lock:
+                parts = [
+                    _ok(self.forward(worker, "POST", dry_target, body))
+                    for worker, body in bodies.items()
+                ]
+                if not dry:
+                    parts = [
+                        _ok(self._commit_slice(worker, body))
+                        for worker, body in bodies.items()
+                    ]
+        horizon = max([horizon, *(p["horizon_day"] for p in parts)])
+        if not dry:
+            for worker, part in zip(bodies, parts):
+                self._learned(worker, part["horizon_day"])
+            self._advance(horizon)
+        return {
+            "accepted": sum(p["accepted"] for p in parts),
+            "deduplicated": sum(p["deduplicated"] for p in parts),
+            "dry": dry,
+            "horizon_day": max(self.horizon_day, horizon),
+            "workers": len(parts),
+        }
 
     def _commit_slice(
         self, worker: WorkerHandle, slice_body: bytes, deadline_s: float = 30.0
@@ -791,7 +668,7 @@ class RouterApp:
         deadline = time.monotonic() + deadline_s
         while True:
             status, payload, headers = self.forward(
-                worker, "POST", "/v1/ingest", slice_body
+                worker, "POST", PATHS["ingest"], slice_body
             )
             if status != 429 or time.monotonic() >= deadline:
                 return status, payload, headers
@@ -799,60 +676,49 @@ class RouterApp:
                 min(float(payload.get("retry_after", 0.25)), 1.0)
             )
 
-    def flush(self) -> tuple[int, dict, dict]:
-        results = self._scatter("POST", "/v1/flush")
-        applied = 0
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-            applied += payload.get("applied_batches", 0)
-        return 200, {"flushed": True, "applied_batches": applied}, {}
+    def flush(self) -> dict:
+        parts = self._gather("flush")
+        return {
+            "flushed": True,
+            "applied_batches": sum(p.get("applied_batches", 0) for p in parts),
+        }
+
+    def close(self) -> None:
+        """Record the workers' final lanes, then stop the fleet."""
+        try:
+            self._final_stats = self.stats()
+        except Exception:
+            self._final_stats = {"workers": [], "totals": {}}
+        self.supervisor.close()
+
+    def summary(self, duration_s: float) -> dict:
+        """The manifest's role-specific ``serve`` keys (after :meth:`close`)."""
+        final = self._final_stats or {"workers": [], "totals": {}}
+        lanes = []
+        for lane in final["workers"]:
+            requests = lane.get("requests", 0)
+            entry = {
+                "worker": lane.get("worker"),
+                "up": lane.get("up", False),
+                "machine_lo": lane.get("machine_lo"),
+                "machine_hi": lane.get("machine_hi"),
+                "requests": requests,
+                "qps": round(requests / duration_s, 3) if duration_s > 0 else 0.0,
+            }
+            for key in ("latency", "tier", "ingest"):
+                if lane.get(key):
+                    entry[key] = lane[key]
+            lanes.append(entry)
+        return {
+            "role": "router",
+            "horizon_day": final.get("horizon_day", self._horizon),
+            "n_workers": len(self.supervisor.workers),
+            "workers": lanes,
+            "totals": final["totals"],
+        }
 
 
 # -- lifecycle -----------------------------------------------------------------
-
-
-class RouterHandle:
-    """A running router front plus its worker fleet."""
-
-    def __init__(
-        self,
-        server: ThreadingHTTPServer,
-        app: RouterApp,
-        thread: threading.Thread,
-        supervisor: WorkerSupervisor,
-    ):
-        self.server = server
-        self.app = app
-        self.thread = thread
-        self.supervisor = supervisor
-
-    @property
-    def host(self) -> str:
-        return self.server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        self.thread.join(timeout)
-
-    def close(self) -> None:
-        self.server.shutdown()
-        self.thread.join()
-        self.server.server_close()
-        self.supervisor.close()
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def partition_shards(n_shards: int, n_workers: int) -> list[tuple[int, int]]:
@@ -888,15 +754,13 @@ def start_router(
     ingest_queue: int = 100_000,
     snapshot_dir: Optional[str] = None,
     snapshot_every: Optional[int] = None,
-) -> RouterHandle:
-    """Spawn the worker fleet and start the router front on a thread.
+) -> ServeHandle:
+    """Spawn the worker fleet and start the front over it on a thread.
 
     ``n_workers`` is clamped to the shard count (a worker needs at least
     one shard).  Workers always bind loopback; only the router binds
     ``host``.
     """
-    from .server import _Handler
-
     runs = partition_shards(store.n_shards, n_workers)
     specs = []
     ranges = []
@@ -927,12 +791,9 @@ def start_router(
         )
     supervisor = WorkerSupervisor(specs, ranges)
     supervisor.start()
-    app = RouterApp(supervisor, store.n_machines, registry)
-    handler = type("RouterHandler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    thread = threading.Thread(
-        target=server.serve_forever, name="fgcs-router", daemon=True
-    )
-    thread.start()
-    return RouterHandle(server, app, thread, supervisor)
+    app = ServeApp(FleetBackend(supervisor, store.n_machines), registry)
+    try:
+        return serve_app(app, host=host, port=port)
+    except BaseException:
+        supervisor.close()
+        raise

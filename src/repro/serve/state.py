@@ -113,6 +113,7 @@ __all__ = [
     "TierStats",
     "ValidatedBatch",
     "counts_from_columns",
+    "parse_event",
 ]
 
 #: Failure-state names accepted on the ingest boundary, by on-disk code.
@@ -183,6 +184,60 @@ class _ParsedEvent:
             and self.end == other.end
             and self.state == other.state
         )
+
+
+def parse_event(event: Union[dict, Sequence], n_machines: int) -> _ParsedEvent:
+    """Shape- and range-check one ingest event (a dict, or a
+    ``(machine_id, start, end, state)`` sequence) for a fleet of
+    ``n_machines``; ordering is judged later, against the tails."""
+    if isinstance(event, dict):
+        try:
+            machine_id = event["machine_id"]
+            start = event["start"]
+            end = event["end"]
+            state = event["state"]
+        except KeyError as exc:
+            raise ServeError(f"ingest event missing field {exc}") from exc
+    else:
+        try:
+            machine_id, start, end, state = event[:4]
+        except (TypeError, ValueError) as exc:
+            raise ServeError(
+                "ingest event must be a dict or a "
+                "(machine_id, start, end, state) sequence"
+            ) from exc
+    try:
+        machine_id = int(machine_id)
+        start = float(start)
+        end = float(end)
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"malformed ingest event: {exc}") from exc
+    if isinstance(state, str):
+        codes = {v: k for k, v in _STATE_NAMES.items()}
+        if state not in codes:
+            raise ServeError(f"invalid failure state {state!r}")
+        state = codes[state]
+    else:
+        try:
+            state = int(state)
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"malformed ingest event: {exc}") from exc
+        if state not in _STATE_NAMES:
+            raise ServeError(f"invalid failure-state code {state!r}")
+    if not 0 <= machine_id < n_machines:
+        raise ServeError(
+            f"machine {machine_id} outside fleet [0, {n_machines})"
+        )
+    if not np.isfinite(start) or not np.isfinite(end) or start < 0:
+        raise ServeError(
+            f"ingest event needs finite start >= 0 and end (got "
+            f"[{start}, {end}])"
+        )
+    if not end > start:
+        raise ServeError(
+            f"ingest event needs end > start (got [{start}, {end}])"
+        )
+    return _ParsedEvent(machine_id, start, end, state)
 
 
 @dataclass(frozen=True)
@@ -433,60 +488,15 @@ class ServeState:
     # -- ingest ---------------------------------------------------------------
 
     def _parse_event(self, event: Union[dict, Sequence]) -> _ParsedEvent:
-        if isinstance(event, dict):
-            try:
-                machine_id = event["machine_id"]
-                start = event["start"]
-                end = event["end"]
-                state = event["state"]
-            except KeyError as exc:
-                raise ServeError(f"ingest event missing field {exc}") from exc
-        else:
-            try:
-                machine_id, start, end, state = event[:4]
-            except (TypeError, ValueError) as exc:
-                raise ServeError(
-                    "ingest event must be a dict or a "
-                    "(machine_id, start, end, state) sequence"
-                ) from exc
-        try:
-            machine_id = int(machine_id)
-            start = float(start)
-            end = float(end)
-        except (TypeError, ValueError) as exc:
-            raise ServeError(f"malformed ingest event: {exc}") from exc
-        if isinstance(state, str):
-            codes = {v: k for k, v in _STATE_NAMES.items()}
-            if state not in codes:
-                raise ServeError(f"invalid failure state {state!r}")
-            state = codes[state]
-        else:
-            try:
-                state = int(state)
-            except (TypeError, ValueError) as exc:
-                raise ServeError(f"malformed ingest event: {exc}") from exc
-            if state not in _STATE_NAMES:
-                raise ServeError(f"invalid failure-state code {state!r}")
-        if not 0 <= machine_id < self.n_machines:
-            raise ServeError(
-                f"machine {machine_id} outside fleet [0, {self.n_machines})"
-            )
-        self._check_owned(machine_id)
-        if not np.isfinite(start) or not np.isfinite(end) or start < 0:
-            raise ServeError(
-                f"ingest event needs finite start >= 0 and end (got "
-                f"[{start}, {end}])"
-            )
-        if not end > start:
-            raise ServeError(
-                f"ingest event needs end > start (got [{start}, {end}])"
-            )
-        return _ParsedEvent(machine_id, start, end, state)
+        parsed = parse_event(event, self.n_machines)
+        self._check_owned(parsed.machine_id)
+        return parsed
 
     def _validate_parsed(
         self,
         parsed: Sequence[_ParsedEvent],
         tail_of: Callable[[int], Optional[_ParsedEvent]],
+        horizon: int = 0,
     ) -> ValidatedBatch:
         """Decide a parsed batch's fate against the given tail view.
 
@@ -495,12 +505,13 @@ class ServeState:
         queue's shadow tails for asynchronous ingest.  Raises
         :class:`IngestOrderError` (whole batch, atomically) on an
         ordering violation; duplicates of the newest event are dropped
-        and counted.
+        and counted.  ``horizon`` declares every day before it observed
+        even if no event falls in it (the fleet horizon a scale-out
+        worker is told about).
         """
         tails: dict[int, _ParsedEvent] = {}
         accepted: list[_ParsedEvent] = []
         deduped = 0
-        horizon = 0
         for ev in parsed:
             tail = tails.get(ev.machine_id)
             if tail is None:
@@ -533,6 +544,7 @@ class ServeState:
         self,
         events: Iterable[Union[dict, Sequence]],
         tail_of: Optional[Callable[[int], Optional[_ParsedEvent]]] = None,
+        horizon: int = 0,
     ) -> ValidatedBatch:
         """Parse and contract-check a batch without applying it.
 
@@ -542,9 +554,9 @@ class ServeState:
         """
         parsed = [self._parse_event(e) for e in events]
         if tail_of is not None:
-            return self._validate_parsed(parsed, tail_of)
+            return self._validate_parsed(parsed, tail_of, horizon)
         with self._lock:
-            return self._validate_parsed(parsed, self._last_event.get)
+            return self._validate_parsed(parsed, self._last_event.get, horizon)
 
     def tail_of(self, machine_id: int) -> Optional[_ParsedEvent]:
         """The machine's newest *applied* event (thread-safe)."""
@@ -566,8 +578,8 @@ class ServeState:
                 ] = vec
             vec[hour] += 1
             self._overlay_arrays.pop(day, None)
-            if day + 1 > self._overlay_horizon:
-                self._overlay_horizon = day + 1
+        if batch.horizon_day > self._overlay_horizon:
+            self._overlay_horizon = batch.horizon_day
         self._last_event.update(batch.tails)
         self._n_streamed += len(batch.accepted)
         self._n_deduped += batch.deduplicated
@@ -585,6 +597,11 @@ class ServeState:
     def ingest(self, events: Iterable[Union[dict, Sequence]]) -> IngestResult:
         """Apply a batch of streamed events atomically (synchronous).
 
+        The daemon never writes through here — its one write path is the
+        :class:`~repro.serve.ingest.AsyncIngester` queue — but this
+        synchronous replay is the reference the async, HTTP and
+        scale-out paths are all compared against.
+
         The whole batch is validated — shape, ranges, and the per-machine
         ordering contract (module docstring) — before any count changes;
         a rejected batch leaves the state untouched and queries running
@@ -595,28 +612,6 @@ class ServeState:
             batch = self._validate_parsed(parsed, self._last_event.get)
             self._apply_locked(batch)
         return batch.result()
-
-    def ingest_jsonl(self, lines: Iterable[str]) -> IngestResult:
-        """Ingest a JSONL stream (one event object per non-blank line)."""
-        return self.ingest(self.parse_jsonl(lines))
-
-    @staticmethod
-    def parse_jsonl(lines: Iterable[str]) -> list[dict]:
-        """Decode a JSONL event stream into raw event dicts."""
-        import json
-
-        events = []
-        for i, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ServeError(
-                    f"ingest line {i}: invalid JSON: {exc}"
-                ) from exc
-        return events
 
     # -- overlay snapshot/restore ---------------------------------------------
 

@@ -2,7 +2,8 @@
 
 ``scipy.signal`` costs about a second to import and only trace synthesis
 uses it, so ``serve``, ``query``, ``analyze`` and every spawn-started
-router worker must never load scipy.  Each check runs in a fresh
+router worker must never load scipy; ``query`` sends one HTTP request
+and must not load numpy either.  Each check runs in a fresh
 interpreter and counts modules, not seconds, so none of them can flake.
 
 Generation, the one path that does load the filter, must load it in the
@@ -98,6 +99,7 @@ class TestNoScipy:
         from repro.cli import main
         url = "http://127.0.0.1:" + sys.argv[1]
         assert main(["query", "--url", url, "health"]) == 2
+        assert "numpy" not in sys.modules, "query loaded numpy"
         """
         assert _scipy_after(textwrap.dedent(code), str(_closed_port())) == []
 

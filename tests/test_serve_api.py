@@ -30,6 +30,7 @@ from repro.serve import (
     counts_from_columns,
     start_server,
 )
+from repro.serve.server import decode_events
 from repro.traces.generate import generate_dataset
 from repro.traces.records import EventColumns
 from repro.traces.shards import generate_shards, open_shards
@@ -363,10 +364,9 @@ class TestIngestValidation:
         assert state.tier_stats().streamed_events == 0
 
     def test_bad_jsonl_line_numbered(self):
-        state = ServeState(4, 7)
         with pytest.raises(ServeError, match="line 2"):
-            state.ingest_jsonl(
-                ['{"machine_id": 0, "start": 1, "end": 2, "state": 3}', "{oops"]
+            decode_events(
+                b'{"machine_id": 0, "start": 1, "end": 2, "state": 3}\n{oops'
             )
 
     def test_ingest_extends_horizon_and_answers(self):

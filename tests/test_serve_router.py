@@ -152,8 +152,8 @@ class TestRouterMatchesSingleProcess:
 class TestStrictRouting:
     def test_direct_worker_misroute_is_421(self, router):
         handle, _ = router
-        worker0 = handle.supervisor.workers[0]
-        foreign = handle.supervisor.workers[1].machine_lo
+        worker0 = handle.app.backend.supervisor.workers[0]
+        foreign = handle.app.backend.supervisor.workers[1].machine_lo
         with ServeClient(f"http://127.0.0.1:{worker0.port}") as direct:
             status, payload = direct.request_raw(
                 "GET", f"/v1/availability?machine={foreign}&duration=6"
@@ -163,7 +163,7 @@ class TestStrictRouting:
 
     def test_owned_machine_served_directly(self, router, reference):
         handle, _ = router
-        worker1 = handle.supervisor.workers[1]
+        worker1 = handle.app.backend.supervisor.workers[1]
         machine = worker1.machine_lo
         with ServeClient(f"http://127.0.0.1:{worker1.port}") as direct:
             answer = direct.availability(machine, 6.0, day=14, hour=0.0)
@@ -335,7 +335,7 @@ class TestWorkerCrashRecovery:
                     assert time.monotonic() < deadline, "snapshot never landed"
                     time.sleep(0.05)
 
-                victim = handle.supervisor.workers[1]
+                victim = handle.app.backend.supervisor.workers[1]
                 victim.process.kill()
                 killed_at = time.monotonic()
                 victim.process.join(10.0)
